@@ -84,8 +84,11 @@ class SanitizerHarness:
         #: Private (AnalyticBackend, EventBackend) pair — lazily
         #: built, never the run's own backend or cache.
         self._backends = None
-        #: spec ids already price-checked (the spec is constant per
-        #: run; re-pricing it would only re-hit the private memo).
+        #: Specs already price-checked (the spec is constant per run;
+        #: re-pricing it would only re-hit the private memo).  Keyed
+        #: by the spec itself, which keeps it and its objects alive:
+        #: a bare ``id()`` could be reused by a later spec and skip
+        #: that spec's check.
         self._priced_specs: set = set()
 
     # -- plumbing ------------------------------------------------------
@@ -300,10 +303,10 @@ class SanitizerHarness:
 
     def _check_price_agreement(self, boundary, kv) -> None:
         spec = kv.spec
-        if id(spec) in self._priced_specs:
+        if spec in self._priced_specs:
             return
         self.checks["price_agreement"] += 1
-        self._priced_specs.add(id(spec))
+        self._priced_specs.add(spec)
         from repro.core.metrics import Stage
         from repro.pricing import AnalyticBackend, EventBackend
 

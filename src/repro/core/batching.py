@@ -19,6 +19,7 @@ lifts OPT-175B's maximum batch from 8 to ~44.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.placement.base import PlacementResult, spill_to_fit
 from repro.core.policy import Policy
@@ -59,37 +60,46 @@ class GpuMemoryPlan:
         return self.usable_bytes - self.total_bytes
 
 
-def _max_layer_bytes(placement: PlacementResult) -> int:
-    return max(layer.total_bytes for layer in placement.layers)
-
-
-def gpu_memory_plan(
-    placement: PlacementResult,
-    policy: Policy,
-    batch_size: int,
-    prompt_len: int,
-    gen_len: int,
-    gpu_spec: GpuSpec = A100_SPEC,
-) -> GpuMemoryPlan:
-    """Budget for one run with a *fixed* placement."""
-    if batch_size <= 0:
-        raise ConfigurationError("batch size must be positive")
-    config = placement.config
+def _weight_terms(
+    placement: PlacementResult, policy: Policy
+) -> Tuple[int, int, int]:
+    """The batch-independent part of a GPU plan: resident weights,
+    staging and dequant scratch bytes."""
     ratio = policy.compression.ratio
-    weights = int(placement.tier_total_bytes(DeviceKind.GPU) * ratio)
-    staging = int(2 * _max_layer_bytes(placement) * ratio)
-    dequant = (
-        2 * _max_layer_bytes(placement) if policy.compress_weights else 0
+    max_layer = max(layer.total_bytes for layer in placement.layers)
+    return (
+        int(placement.tier_total_bytes(DeviceKind.GPU) * ratio),
+        int(2 * max_layer * ratio),
+        2 * max_layer if policy.compress_weights else 0,
     )
-    # The KV cache covers every micro-batch of the zig-zag block; only
-    # its GPU share is resident in HBM.
-    kv_plan = KvCachePlan(
+
+
+def _kv_plan(
+    config, policy: Policy, batch_size: int, prompt_len: int, gen_len: int
+) -> KvCachePlan:
+    # The KV cache covers every micro-batch of the zig-zag block.
+    return KvCachePlan(
         config=config,
         batch_size=batch_size * policy.num_gpu_batches,
         prompt_len=prompt_len,
         gen_len=gen_len,
         dtype_bytes=policy.kv_dtype_bytes,
     )
+
+
+def _plan_at(
+    config,
+    policy: Policy,
+    weight_terms: Tuple[int, int, int],
+    batch_size: int,
+    prompt_len: int,
+    gen_len: int,
+    gpu_spec: GpuSpec,
+) -> GpuMemoryPlan:
+    """One batch's plan on top of precomputed :func:`_weight_terms`."""
+    weights, staging, dequant = weight_terms
+    # Only the KV cache's GPU share is resident in HBM.
+    kv_plan = _kv_plan(config, policy, batch_size, prompt_len, gen_len)
     kv = int(kv_plan.total_bytes * (policy.kv_gpu_percent / 100.0))
     hidden = (
         workspace_hidden_bytes(config, batch_size, prompt_len)
@@ -106,6 +116,43 @@ def gpu_memory_plan(
     )
 
 
+def gpu_memory_plan(
+    placement: PlacementResult,
+    policy: Policy,
+    batch_size: int,
+    prompt_len: int,
+    gen_len: int,
+    gpu_spec: GpuSpec = A100_SPEC,
+) -> GpuMemoryPlan:
+    """Budget for one run with a *fixed* placement."""
+    if batch_size <= 0:
+        raise ConfigurationError("batch size must be positive")
+    return _plan_at(
+        placement.config,
+        policy,
+        _weight_terms(placement, policy),
+        batch_size,
+        prompt_len,
+        gen_len,
+        gpu_spec,
+    )
+
+
+def _host_bytes_at(
+    config,
+    policy: Policy,
+    cpu_weight_bytes: float,
+    batch_size: int,
+    prompt_len: int,
+    gen_len: int,
+) -> int:
+    """One batch's host footprint on top of the (on-wire) host-resident
+    weight bytes."""
+    kv_plan = _kv_plan(config, policy, batch_size, prompt_len, gen_len)
+    kv = kv_plan.total_bytes * policy.kv_cpu_fraction
+    return int(cpu_weight_bytes + kv)
+
+
 def host_memory_bytes(
     placement: PlacementResult,
     policy: Policy,
@@ -116,16 +163,14 @@ def host_memory_bytes(
     """Host-memory footprint of one run: resident weight shares plus
     the host-resident KV share."""
     ratio = policy.compression.ratio
-    weights = placement.tier_total_bytes(DeviceKind.CPU) * ratio
-    kv_plan = KvCachePlan(
-        config=placement.config,
-        batch_size=batch_size * policy.num_gpu_batches,
-        prompt_len=prompt_len,
-        gen_len=gen_len,
-        dtype_bytes=policy.kv_dtype_bytes,
+    return _host_bytes_at(
+        placement.config,
+        policy,
+        placement.tier_total_bytes(DeviceKind.CPU) * ratio,
+        batch_size,
+        prompt_len,
+        gen_len,
     )
-    kv = kv_plan.total_bytes * policy.kv_cpu_fraction
-    return int(weights + kv)
 
 
 def max_batch_size(
@@ -143,17 +188,29 @@ def max_batch_size(
     GPU memory is always the binding constraint for the paper's
     configurations; ``host_capacity_bytes`` additionally bounds runs
     that offload the KV cache to host memory.
+
+    The placement-only terms (tier totals, largest layer) are summed
+    once per search; only the KV and hidden terms vary with the batch.
     """
+    config = placement.config
+    weight_terms = _weight_terms(placement, policy)
+    if host_capacity_bytes is not None:
+        cpu_weight_bytes = (
+            placement.tier_total_bytes(DeviceKind.CPU)
+            * policy.compression.ratio
+        )
     best = 0
     for batch in range(1, limit + 1):
-        plan = gpu_memory_plan(
-            placement, policy, batch, prompt_len, gen_len, gpu_spec
+        plan = _plan_at(
+            config, policy, weight_terms, batch, prompt_len, gen_len,
+            gpu_spec,
         )
         if not plan.fits:
             break
         if host_capacity_bytes is not None:
-            host = host_memory_bytes(
-                placement, policy, batch, prompt_len, gen_len
+            host = _host_bytes_at(
+                config, policy, cpu_weight_bytes, batch, prompt_len,
+                gen_len,
             )
             if host > host_capacity_bytes:
                 break

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ConfigurationError
@@ -43,21 +44,26 @@ class WeightCategory(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """One weight tensor within a layer."""
+    """One weight tensor within a layer.
+
+    The specs are frozen, so their byte aggregates (here and on
+    :class:`LayerSpec`) are computed on first read and then kept:
+    placement and memory-plan code reads them millions of times.
+    """
 
     name: str
     shape: Tuple[int, ...]
     dtype_bytes: int
     category: WeightCategory
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         count = 1
         for dim in self.shape:
             count *= dim
         return count
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Byte size (the ``spec.size`` of Listing 2)."""
         return self.param_count * self.dtype_bytes
@@ -71,11 +77,11 @@ class LayerSpec:
     kind: LayerKind
     weights: Tuple[WeightSpec, ...]
 
-    @property
+    @cached_property
     def total_bytes(self) -> int:
         return sum(spec.size for spec in self.weights)
 
-    @property
+    @cached_property
     def matrix_bytes(self) -> int:
         return sum(
             spec.size
@@ -169,16 +175,22 @@ def model_layers(config: OptConfig) -> Tuple[LayerSpec, ...]:
     Pipeline stages drop the embedding (non-first) and head (non-last)
     layers via the config's ``include_embed``/``include_head`` flags;
     indices stay contiguous within the stage.
+
+    Every decoder block shares one MHA and one FFN weight tuple: the
+    specs are frozen, so each tensor's cached byte size is computed
+    once per model rather than once per block.
     """
     layers = []
     index = 0
     if config.include_embed:
         layers.append(LayerSpec(0, LayerKind.EMBED, embed_weight_specs(config)))
         index = 1
+    mha = mha_weight_specs(config)
+    ffn = ffn_weight_specs(config)
     for _ in range(config.num_decoder_blocks):
-        layers.append(LayerSpec(index, LayerKind.MHA, mha_weight_specs(config)))
+        layers.append(LayerSpec(index, LayerKind.MHA, mha))
         index += 1
-        layers.append(LayerSpec(index, LayerKind.FFN, ffn_weight_specs(config)))
+        layers.append(LayerSpec(index, LayerKind.FFN, ffn))
         index += 1
     if config.include_head:
         layers.append(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -22,15 +22,38 @@ class IterationParts:
     computes: Tuple[float, ...]
     overlap: bool
 
+    #: Memos of :attr:`transfer_s` and the nominal :meth:`total_s`,
+    #: filled on first read.  Not dataclass fields, so ``==``,
+    #: ``hash`` and ``repr`` never see them.  Lazy on purpose:
+    #: ``prewarm`` writes thousands of cells that are never read.
+    _transfer_s: ClassVar[Optional[float]] = None
+    _nominal_total_s: ClassVar[Optional[float]] = None
+
     @property
     def transfer_s(self) -> float:
-        return sum(self.transfers)
+        total = self._transfer_s
+        if total is None:
+            total = sum(self.transfers)
+            object.__setattr__(self, "_transfer_s", total)
+        return total
 
     @property
     def compute_s(self) -> float:
         return sum(self.computes)
 
     def total_s(self, transfer_scale: float = 1.0) -> float:
+        """Iteration seconds with every transfer scaled by
+        ``transfer_scale``; the nominal (``1.0``) total is summed
+        once and then read back."""
+        if transfer_scale != 1.0:
+            return self._sum_layers(transfer_scale)
+        total = self._nominal_total_s
+        if total is None:
+            total = self._sum_layers(1.0)
+            object.__setattr__(self, "_nominal_total_s", total)
+        return total
+
+    def _sum_layers(self, transfer_scale: float) -> float:
         if self.overlap:
             return sum(
                 max(transfer * transfer_scale, compute)

@@ -17,14 +17,16 @@ carries new host/placement objects, so its prices can never collide
 with stale nominal entries — and it keeps hashing O(1) even though a
 placement holds per-layer byte maps.  A spec stored in a cache key
 keeps strong references to those objects, so ids cannot be recycled
-under it.
+under it.  The key and its hash are computed once, at construction;
+a copy or an unpickled spec recomputes them from the objects it
+holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.devices.gpu import A100_SPEC, GpuSpec
 from repro.errors import ConfigurationError
@@ -67,6 +69,7 @@ class RunSpec:
             raise ConfigurationError("prompt_len must be >= 1")
         if self.gen_len < 1:
             raise ConfigurationError("gen_len must be >= 1")
+        self._store_key()
 
     @property
     def fault_free(self) -> bool:
@@ -74,7 +77,20 @@ class RunSpec:
 
     def cache_key(self) -> Tuple:
         """The value this spec hashes/compares by."""
-        return (
+        return self._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunSpec):
+            return NotImplemented
+        return self._key == other._key
+
+    def _store_key(self) -> None:
+        """Compute the identity key and its hash once, from the
+        objects this spec holds now."""
+        key = (
             id(self.host),
             id(self.placement),
             self.policy,
@@ -86,14 +102,20 @@ class RunSpec:
             id(self.pcie) if self.pcie is not None else None,
             id(self.injector) if self.injector is not None else None,
         )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self) -> int:
-        return hash(self.cache_key())
+    def __getstate__(self) -> Dict[str, object]:
+        # The stored key names the ids of *these* objects; a copy or
+        # an unpickled spec holds other objects, so it must rebuild
+        # the key from them rather than inherit a stale one.
+        state = dict(self.__dict__)
+        del state["_key"], state["_hash"]
+        return state
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunSpec):
-            return NotImplemented
-        return self.cache_key() == other.cache_key()
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._store_key()
 
     def with_shape(
         self,

@@ -26,7 +26,7 @@ throughput/latency frontier under open load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import OffloadEngine
 from repro.core.metrics import Stage
@@ -75,6 +75,8 @@ class IterationCostModel:
         if cache is None:
             cache = getattr(engine, "price_cache", None) or PriceCache()
         self.cache = cache
+        #: One spec per (batch, prompt_len) shape; see :meth:`_spec`.
+        self._specs: Dict[Tuple[int, int], RunSpec] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -104,13 +106,22 @@ class IterationCostModel:
         prices live faults on top of them — so specs are built without
         the engine's injector, keeping cache keys stable across fault
         and fault-free runs of the same configuration.
+
+        Specs are interned per shape: the engine's objects are fixed
+        for this model's lifetime, so every iteration of a shape looks
+        its price up under the same spec instead of building and
+        hashing a new one.
         """
-        return self.engine.run_spec(
-            batch_size=batch,
-            prompt_len=prompt_len,
-            overlap=self.overlap,
-            include_faults=False,
-        )
+        spec = self._specs.get((batch, prompt_len))
+        if spec is None:
+            spec = self.engine.run_spec(
+                batch_size=batch,
+                prompt_len=prompt_len,
+                overlap=self.overlap,
+                include_faults=False,
+            )
+            self._specs[(batch, prompt_len)] = spec
+        return spec
 
     def _parts(
         self, spec: RunSpec, stage: Stage, context_len: int

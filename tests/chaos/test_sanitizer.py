@@ -175,3 +175,28 @@ class TestStrictness:
         report = harness.report()
         assert len(report["violations"]) == 2
         assert report["violations"][0]["boundary"] == 2
+
+
+class TestPriceAgreementMemo:
+    def test_new_spec_is_checked_after_the_old_one_is_freed(self):
+        from repro.core.engine import OffloadEngine
+
+        engine = OffloadEngine(
+            model="opt-1.3b", host="DRAM", placement="allcpu"
+        )
+        harness = SanitizerHarness(strict=False)
+        # Each spec is referenced only for the duration of its check.
+        # The old one is then free, so a new spec of the same size
+        # tends to land at its address: an id()-keyed memo mistook it
+        # for the checked spec and skipped its check.
+        for batch in range(1, 6):
+            harness._check_price_agreement(
+                batch, SimpleNamespace(spec=engine.run_spec(batch_size=batch))
+            )
+        assert harness.checks["price_agreement"] == 5
+        # An equal spec prices the same live objects: checked once.
+        harness._check_price_agreement(
+            6, SimpleNamespace(spec=engine.run_spec(batch_size=5))
+        )
+        assert harness.checks["price_agreement"] == 5
+        assert harness.violations == []

@@ -1,5 +1,9 @@
 """RunSpec: validation, identity hashing, shape siblings."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.engine import OffloadEngine
@@ -87,3 +91,100 @@ def test_engine_run_spec_defaults(engine):
     assert spec.placement is engine.placement_result
     assert spec.overlap
     assert not engine.run_spec(overlap=False).overlap
+
+
+class TestStoredKey:
+    """The key and hash are computed once, at construction; every way
+    of making a new spec rebuilds them from the objects it holds."""
+
+    @staticmethod
+    def assert_key_matches_objects(spec):
+        fresh = RunSpec(
+            **{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        )
+        assert spec.cache_key() == fresh.cache_key()
+        assert hash(spec) == hash(fresh)
+        assert spec == fresh
+        assert spec.cache_key()[0] == id(spec.host)
+        assert spec.cache_key()[1] == id(spec.placement)
+
+    def test_shallow_copy_shares_objects_and_key(self, engine):
+        spec = engine.run_spec()
+        clone = copy.copy(spec)
+        assert clone is not spec
+        assert clone.host is spec.host
+        self.assert_key_matches_objects(clone)
+        assert clone == spec and hash(clone) == hash(spec)
+
+    def test_deep_copy_never_inherits_stale_ids(self, engine):
+        spec = engine.run_spec()
+        clone = copy.deepcopy(spec)
+        assert clone.host is not spec.host
+        assert clone.placement is not spec.placement
+        self.assert_key_matches_objects(clone)
+        # New host/placement objects: a different cache key.
+        assert clone != spec
+        assert spec not in {clone}
+
+    def test_pickle_round_trip_rebuilds_key(self, engine):
+        spec = engine.run_spec()
+        restored = pickle.loads(pickle.dumps(spec))
+        self.assert_key_matches_objects(restored)
+        assert restored != spec
+
+    def test_replace_and_siblings_rebuild_key(self):
+        schedule = FaultSchedule(
+            faults=(
+                DegradationWindow(
+                    target="host", slowdown=2.0, start_s=0.0,
+                    duration_s=10.0,
+                ),
+            ),
+            seed=1,
+        )
+        faulty = OffloadEngine(
+            model="opt-1.3b", host="DRAM", placement="allcpu",
+            faults=schedule,
+        )
+        spec = faulty.run_spec()
+        for sibling in (
+            dataclasses.replace(spec, batch_size=3),
+            dataclasses.replace(spec, injector=None),
+            spec.with_shape(prompt_len=64),
+            spec.fault_free_spec(),
+        ):
+            self.assert_key_matches_objects(sibling)
+            assert sibling != spec
+        assert spec.fault_free_spec().cache_key()[-1] is None
+        # An identical replace is an equal key, as before.
+        assert dataclasses.replace(spec) == spec
+
+
+class TestInternedSpecs:
+    def test_same_shape_same_object(self, engine):
+        costs = engine.cost_model()
+        assert costs._spec(4, 128) is costs._spec(4, 128)
+        assert costs._spec(4, 128) is not costs._spec(4, 160)
+        assert costs._spec(4, 128) == engine.run_spec(
+            batch_size=4, prompt_len=128, include_faults=False
+        )
+
+    def test_every_iteration_prices_under_the_interned_spec(self, engine):
+        costs = engine.cost_model()
+        before = costs.cache.stats
+        costs.decode_time(2, 300)
+        costs.decode_time(2, 300)
+        costs.prefill_time(2, 100)
+        after = costs.cache.stats
+        # The cache is still consulted once per iteration.
+        assert after.lookups - before.lookups == 3
+        keys = [key[0] for key in costs.cache._entries]
+        assert any(key is costs._spec(2, engine.prompt_len) for key in keys)
+
+    def test_replanned_engine_gets_new_specs(self, engine):
+        nominal = engine.cost_model()._spec(2, 128)
+        replanned = engine.replan_for_degradation(host_slowdown=2.0)
+        degraded = replanned.cost_model()._spec(2, 128)
+        assert degraded is not nominal
+        assert degraded != nominal
+        assert degraded.host is replanned.host
