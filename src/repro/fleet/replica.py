@@ -1,15 +1,17 @@
-"""One serving replica: the single-engine serve stack as a fleet unit.
+"""One serving replica: the single-engine serve stack.
 
-:func:`build_replica` performs exactly the wiring
-:func:`repro.serve.simulate_serving` does for its one engine — engine
-construction, cost model, telemetry binding, fault injector,
-replanner, KV manager, sanitizer, scheduler — but per replica, with
+:func:`build_replica` is the one place a serve stack is wired —
+engine construction, cost model, telemetry binding, fault injector,
+replanner, KV manager, sanitizer, SLO observer, scheduler — with
 replica-stable RNG streams derived via
-:func:`repro.faults.seed_stream`.  A fleet of one replica at shard
-degree 1 therefore *is* the old stack object-for-object, which is
-what the bit-identity guard tests pin.
+:func:`repro.faults.seed_stream`.  :func:`repro.serve.simulate_serving`
+builds replica 0 and serves it in one pass (:meth:`Replica.run`); a
+one-replica fleet at shard degree 1 builds the same object graph and
+drives it incrementally.  Replica 0 draws from the root seeds
+unchanged, so the two agree bit for bit, which
+``tests/fleet/test_identity.py`` pins.
 
-The replica exposes the scheduler's incremental
+The replica also exposes the scheduler's incremental
 :class:`~repro.serve.scheduler.SchedulerDrive` so the
 :class:`~repro.fleet.simulator.FleetSimulator` can interleave many
 replicas in one virtual timeline: advance to an arrival, route, push,
@@ -75,6 +77,26 @@ class Replica:
         """Exact queued-plus-running occupancy at the drive's clock."""
         return 0 if self.drive is None else self.drive.queue_depth
 
+    def _prewarm_prices(self, specs: Sequence[RequestSpec]) -> None:
+        """Pre-price the batch ladder over ``specs``' prompt lengths.
+
+        Never changes a priced value, only the cache hit/miss split;
+        a no-op for cost models without a grid.
+        """
+        self._prewarmed = 0
+        if self.prewarm and hasattr(self.costs, "prewarm"):
+            top = self.scheduler.max_batch
+            ladder = sorted(
+                {
+                    min(1 << power, top)
+                    for power in range(max(1, top).bit_length())
+                }
+                | {top}
+            )
+            self._prewarmed = self.costs.prewarm(
+                ladder, prompt_lens=[spec.prompt_len for spec in specs]
+            )
+
     def start(self, specs: Sequence[RequestSpec]) -> None:
         """Prewarm the price cache and park the scheduler at time 0.
 
@@ -82,21 +104,28 @@ class Replica:
         prewarming over it is a superset of what this replica will
         serve and never changes a priced value.
         """
-        self._prewarmed = 0
-        if self.prewarm and hasattr(self.costs, "prewarm"):
-            ladder = sorted(
-                {
-                    min(1 << power, self.scheduler.max_batch)
-                    for power in range(
-                        max(1, self.scheduler.max_batch).bit_length()
-                    )
-                }
-                | {self.scheduler.max_batch}
-            )
-            self._prewarmed = self.costs.prewarm(
-                ladder, prompt_lens=[spec.prompt_len for spec in specs]
-            )
+        self._prewarm_prices(specs)
         self.drive = self.scheduler.drive()
+
+    def run(
+        self,
+        specs: Sequence[RequestSpec],
+        setup: Optional[Dict[str, object]] = None,
+        checkpoint=None,
+        restore: Optional[Dict[str, object]] = None,
+    ) -> ServingResult:
+        """Serve the whole stream in one pass and reduce it.
+
+        The unrouted path: the scheduler takes the closed stream at
+        once, which keeps its checkpoint/restore support
+        (``checkpoint`` / ``restore`` as in
+        :meth:`~repro.serve.scheduler.ContinuousBatchingScheduler.run`).
+        """
+        self._prewarm_prices(specs)
+        outcome = self.scheduler.run(
+            specs, checkpoint=checkpoint, restore=restore
+        )
+        return self.finalize(outcome, specs, setup=setup)
 
     def push(self, spec: RequestSpec) -> None:
         self.routed += 1
@@ -114,8 +143,12 @@ class Replica:
         all_specs: Sequence[RequestSpec],
         setup: Optional[Dict[str, object]] = None,
     ) -> ServingResult:
-        """Reduce this replica's run exactly as ``ServingSimulator.run``
-        does, so a one-replica fleet's result is bit-identical."""
+        """Reduce one finished run to a :class:`ServingResult`.
+
+        ``all_specs`` is the stream the run was offered (the global
+        stream in a fleet); ``setup`` is the caller's configuration
+        echo, merged last.
+        """
         service_ref = self.costs.reference_service_time(
             prompt_len=int(
                 statistics.fmean(spec.prompt_len for spec in all_specs)
@@ -209,12 +242,19 @@ def build_replica(
     prefix_cache_size: int = 0,
     slo=None,
 ) -> Replica:
-    """Wire one replica exactly as ``simulate_serving`` wires its stack.
+    """Wire one replica's serve stack.
 
     ``fault_seed`` is the fleet root: replica 0 draws from it
     unchanged, siblings from :func:`seed_stream` — so growing the
-    fleet never perturbs an existing replica's fault draws.
+    fleet never perturbs an existing replica's fault draws.  ``slo``
+    is a resolved :class:`~repro.obs.SloSpec` (or ``None``); each
+    replica gets its own observer over it.
     """
+    if iteration_fault_pricing and pricing_backend != "event":
+        raise ConfigurationError(
+            "iteration_fault_pricing needs pricing_backend='event' — "
+            "only the event backend walks the per-layer schedule"
+        )
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     engine = OffloadEngine(
         model=model,

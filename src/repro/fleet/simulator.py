@@ -33,12 +33,16 @@ from repro.serve.arrivals import (
     ArrivalProcess,
     TraceReplay,
     assign_prefix_groups,
-    generate_requests,
 )
 from repro.serve.metrics import LatencyStats
 from repro.serve.request import QosClass, RequestRecord, RequestSpec
 from repro.serve.resilience import ResiliencePolicy
-from repro.serve.simulator import ServingResult, make_arrival_process
+from repro.serve.simulator import (
+    ServingResult,
+    resolve_slo,
+    sample_requests,
+    setup_echo,
+)
 from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
@@ -386,9 +390,14 @@ def simulate_fleet(
     :class:`~repro.fleet.prefix.PrefixCache` — enabled identically
     under every router, so routing is the only variable in an A/B.
 
-    With ``replicas=1`` and shard degree 1 the wiring collapses to
-    exactly ``simulate_serving``'s object graph: same engine, same
-    scheduler arithmetic, bit-identical summary/records/telemetry.
+    Every replica is wired by :func:`~repro.fleet.replica.build_replica`,
+    the same call ``simulate_serving`` makes for its one engine, and
+    the stream, SLO spec and set-up echo come from the same helpers.
+    With ``replicas=1`` and shard degree 1 the only difference is the
+    drive: the fleet pushes requests into replica 0 one arrival at a
+    time where ``simulate_serving`` hands it the whole stream; the
+    summary, records and telemetry are bit-identical
+    (``tests/fleet/test_identity.py``).
 
     ``slo`` (``True`` / spec path / :class:`~repro.obs.SloSpec`)
     attaches streaming SLO monitoring per replica — every replica
@@ -430,32 +439,16 @@ def simulate_fleet(
             "combine it with shard degree 1"
         )
     resolved = resolve_telemetry(telemetry)
-    slo_spec = None
-    if slo is not None:
-        from repro.obs import SloSpec
-
-        if isinstance(slo, bool):
-            if slo:
-                slo_spec = SloSpec.for_classes(
-                    tuple(qos for qos, _ in class_mix)
-                )
-        elif isinstance(slo, str):
-            slo_spec = SloSpec.load(slo)
-        else:
-            slo_spec = slo
-    if isinstance(arrival, str):
-        process: Union[ArrivalProcess, TraceReplay] = make_arrival_process(
-            arrival, rate_rps, burst_rate_rps
-        )
-    else:
-        process = arrival
-    specs = generate_requests(
-        process,
+    slo_spec = resolve_slo(slo, class_mix)
+    specs = sample_requests(
+        arrival,
+        rate_rps,
+        burst_rate_rps,
         num_requests,
-        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
-        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
-        class_mix=class_mix,
-        seed=seed,
+        prompt_lengths,
+        gen_lengths,
+        class_mix,
+        seed,
     )
     if prefix_groups:
         specs = assign_prefix_groups(
@@ -560,22 +553,18 @@ def simulate_fleet(
         autoscaler=controller,
         replica_factory=replica_factory,
     )
-    setup: Dict[str, object] = {
-        "model": model,
-        "host": host,
-        "placement": placement,
-        "compress_weights": compress_weights,
-        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
-        "rate_rps": rate_rps,
-        "num_requests": len(specs),
-        "seed": seed,
-        "pricing_backend": fleet.replicas[0].costs.backend_name,
-    }
-    if fleet.replicas[0].scheduler.injector is not None:
-        setup["faults"] = faults if isinstance(faults, str) else "schedule"
-        setup["fault_seed"] = fleet.replicas[0].scheduler.injector.seed
-    if fleet.replicas[0].scheduler.kv is not None:
-        setup["kv_policy"] = fleet.replicas[0].scheduler.kv.policy.name
+    setup = setup_echo(
+        fleet.replicas[0],
+        model,
+        host,
+        placement,
+        compress_weights,
+        arrival,
+        rate_rps,
+        specs,
+        seed,
+        faults,
+    )
     if tensor_parallel > 1 or pipeline_parallel > 1:
         setup["tensor_parallel"] = tensor_parallel
         setup["pipeline_parallel"] = pipeline_parallel

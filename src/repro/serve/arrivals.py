@@ -45,7 +45,7 @@ class PoissonProcess:
     rate_rps: float
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
+        if not self.rate_rps > 0:
             raise WorkloadError("arrival rate must be positive")
 
     def arrival_times(
@@ -70,9 +70,9 @@ class MmppProcess:
     mean_burst_s: float
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0 or self.burst_rate_rps <= 0:
+        if not (self.base_rate_rps > 0 and self.burst_rate_rps > 0):
             raise WorkloadError("MMPP rates must be positive")
-        if self.burst_rate_rps <= self.base_rate_rps:
+        if not self.burst_rate_rps > self.base_rate_rps:
             raise WorkloadError("burst rate must exceed the base rate")
         if self.mean_base_s <= 0 or self.mean_burst_s <= 0:
             raise WorkloadError("MMPP sojourn times must be positive")
@@ -147,9 +147,9 @@ class DiurnalProcess:
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0:
+        if not self.base_rate_rps > 0:
             raise WorkloadError("diurnal base rate must be positive")
-        if self.peak_rate_rps <= self.base_rate_rps:
+        if not self.peak_rate_rps > self.base_rate_rps:
             raise WorkloadError("diurnal peak rate must exceed the base rate")
         if self.period_s <= 0:
             raise WorkloadError("diurnal period must be positive")
@@ -192,9 +192,9 @@ class FlashCrowdProcess:
     decay_s: float
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0:
+        if not self.base_rate_rps > 0:
             raise WorkloadError("flash-crowd base rate must be positive")
-        if self.peak_rate_rps <= self.base_rate_rps:
+        if not self.peak_rate_rps > self.base_rate_rps:
             raise WorkloadError(
                 "flash-crowd peak rate must exceed the base rate"
             )

@@ -10,6 +10,7 @@ live state in :class:`ServeRequest` and emits an immutable
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,8 +109,8 @@ class RequestSpec:
     prefix_len: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise WorkloadError("arrival time cannot be negative")
+        if not 0 <= self.arrival_s < math.inf:
+            raise WorkloadError("arrival time must be finite and >= 0")
         if self.prompt_len < 1 or self.gen_len < 1:
             raise WorkloadError("prompt and generation lengths must be >= 1")
         if self.prefix_len < 0:

@@ -1,10 +1,14 @@
 """The open-loop serving simulator, end to end.
 
-Glues the pieces together: an :class:`~repro.core.engine.OffloadEngine`
-supplies iteration costs and the KV admission limit, an arrival
-process supplies the request stream, the continuous-batching
-scheduler serves it in virtual time, and the metrics layer reduces
-the run to operator-facing numbers.
+Glues the pieces together: an arrival process supplies the request
+stream, :func:`repro.fleet.replica.build_replica` wires an
+:class:`~repro.core.engine.OffloadEngine` (iteration costs and the KV
+admission limit) and the optional components around a
+continuous-batching scheduler that serves the stream in virtual
+time, and the metrics layer reduces the run to operator-facing
+numbers.  :func:`simulate_serving` and
+:func:`repro.fleet.simulate_fleet` share that one wiring path and the
+stream, SLO and set-up helpers below.
 
 Typical use::
 
@@ -22,12 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-import os
-import statistics
-
-from repro.core.engine import OffloadEngine
 from repro.errors import ConfigurationError
-from repro.faults.injector import FaultInjector, make_injector
+from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSchedule
 from repro.faults.retry import RetryPolicy
 from repro.serve.arrivals import (
@@ -38,19 +38,15 @@ from repro.serve.arrivals import (
     TraceReplay,
     generate_requests,
 )
-from repro.serve.metrics import ServingMetrics, build_metrics
+from repro.serve.metrics import ServingMetrics
 from repro.serve.request import (
     QosClass,
     RequestRecord,
     RequestSpec,
     ShedRecord,
 )
-from repro.serve.resilience import Replanner, ResiliencePolicy
-from repro.serve.scheduler import (
-    ContinuousBatchingScheduler,
-    IterationSample,
-    SchedulerRun,
-)
+from repro.serve.resilience import ResiliencePolicy
+from repro.serve.scheduler import IterationSample
 from repro.sim.trace import Trace
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.workloads.lengths import LengthDistribution
@@ -73,151 +69,6 @@ class ServingResult:
 
     def summary(self) -> Dict[str, object]:
         return {**self.setup, **self.metrics.summary()}
-
-
-class ServingSimulator:
-    """Reusable simulator over one cost model and QoS class set."""
-
-    def __init__(
-        self,
-        costs,
-        classes: Sequence[QosClass] = tuple(qos for qos, _ in DEFAULT_MIX),
-        max_batch: Optional[int] = None,
-        injector: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        replanner: Optional[Replanner] = None,
-        fault_targets: Optional[Sequence[str]] = None,
-        telemetry: Optional[Telemetry] = None,
-        prewarm: bool = True,
-        kv=None,
-        iteration_fault_pricing: bool = False,
-        sanitizer=None,
-        observer=None,
-    ) -> None:
-        self.costs = costs
-        self.classes = tuple(classes)
-        self.telemetry = telemetry
-        #: Optional :class:`repro.chaos.SanitizerHarness`, observed at
-        #: every scheduler boundary; its report lands in
-        #: ``setup["sanitize"]``.
-        self.sanitizer = sanitizer
-        #: Optional :class:`repro.obs.ServeObserver`; its SLO report
-        #: lands in ``setup["slo"]``.  ``None`` skips every hook.
-        self.observer = observer
-        #: Pre-price the session's (batch, bucket) grid in one
-        #: vectorized pass before serving (no-op for cost models /
-        #: backends without a grid).  Never changes a priced value —
-        #: the grid is float-equal to the scalar backend — only the
-        #: cache hit/miss split.
-        self.prewarm = prewarm
-        scheduler_kwargs: Dict[str, object] = {}
-        if fault_targets is not None:
-            scheduler_kwargs["fault_targets"] = tuple(fault_targets)
-        self.scheduler = ContinuousBatchingScheduler(
-            costs,
-            self.classes,
-            max_batch=max_batch,
-            injector=injector,
-            retry=retry,
-            resilience=resilience,
-            replanner=replanner,
-            telemetry=telemetry,
-            kv=kv,
-            iteration_fault_pricing=iteration_fault_pricing,
-            sanitizer=sanitizer,
-            observer=observer,
-            **scheduler_kwargs,
-        )
-
-    def run(
-        self,
-        specs: Sequence[RequestSpec],
-        setup: Optional[Dict[str, object]] = None,
-        checkpoint=None,
-        restore: Optional[Dict[str, object]] = None,
-    ) -> ServingResult:
-        prewarmed = 0
-        if self.prewarm and hasattr(self.costs, "prewarm"):
-            batch_ladder = sorted(
-                {
-                    min(1 << power, self.scheduler.max_batch)
-                    for power in range(
-                        max(1, self.scheduler.max_batch).bit_length()
-                    )
-                }
-                | {self.scheduler.max_batch}
-            )
-            prewarmed = self.costs.prewarm(
-                batch_ladder,
-                prompt_lens=[spec.prompt_len for spec in specs],
-            )
-        outcome: SchedulerRun = self.scheduler.run(
-            specs, checkpoint=checkpoint, restore=restore
-        )
-        service_ref = self.costs.reference_service_time(
-            prompt_len=int(
-                statistics.fmean(spec.prompt_len for spec in specs)
-            )
-            or 1,
-            gen_len=max(
-                1, int(statistics.fmean(spec.gen_len for spec in specs))
-            ),
-            batch=self.scheduler.max_batch,
-        )
-        metrics = build_metrics(outcome, self.classes, service_ref)
-        info: Dict[str, object] = {
-            "max_batch": self.scheduler.max_batch,
-            "service_ref_s": service_ref,
-            "prefill_iterations": outcome.prefill_iterations,
-            "decode_iterations": outcome.decode_iterations,
-        }
-        if self.scheduler.injector is not None:
-            info["fault_stats"] = self.scheduler.injector.stats.as_dict()
-        backend_name = getattr(self.costs, "backend_name", None)
-        if backend_name is not None:
-            info["pricing_backend"] = backend_name
-        cache_stats = getattr(self.costs, "cache_stats", None)
-        if cache_stats is not None:
-            info["price_cache"] = cache_stats
-        if self.scheduler.kv is not None:
-            info["kv"] = self.scheduler.kv.snapshot()
-        if self.sanitizer is not None:
-            info["sanitize"] = self.sanitizer.report()
-        if self.observer is not None:
-            slo_report = self.observer.report()
-            if slo_report is not None:
-                info["slo"] = slo_report
-        if prewarmed:
-            info["prewarmed_prices"] = prewarmed
-        backend_memo = getattr(
-            getattr(self.costs, "backend", None), "cache_info", None
-        )
-        if backend_memo is not None:
-            info["backend_memo"] = backend_memo
-        if setup:
-            info.update(setup)
-        telemetry = resolve_telemetry(self.telemetry)
-        if telemetry.enabled and backend_memo is not None:
-            memo_scope = telemetry.scoped("pricing/backend")
-            memo_scope.gauge("entries").set(backend_memo["entries"])
-            memo_scope.gauge("evictions").set(backend_memo["evictions"])
-        if telemetry.enabled:
-            scope = telemetry.scoped("serve")
-            scope.gauge("max_batch").set(self.scheduler.max_batch)
-            scope.gauge("throughput_rps").set(metrics.throughput_rps)
-            scope.gauge("goodput_rps").set(metrics.goodput_rps)
-            scope.gauge("slo_attainment").set(metrics.slo_attainment)
-            scope.gauge("utilization").set(metrics.utilization)
-            scope.gauge("saturated").set(float(metrics.saturated))
-        return ServingResult(
-            setup=info,
-            metrics=metrics,
-            records=outcome.records,
-            timeline=outcome.timeline,
-            trace=outcome.trace,
-            shed=outcome.shed,
-        )
 
 
 def make_arrival_process(
@@ -246,7 +97,7 @@ def make_arrival_process(
     """
     if arrival == "poisson":
         return PoissonProcess(rate_rps=rate_rps)
-    if arrival in ("bursty", "diurnal", "flash") and rate_rps <= 0:
+    if arrival in ("bursty", "diurnal", "flash") and not rate_rps > 0:
         raise ConfigurationError("arrival rate must be positive")
     if arrival == "bursty":
         return MmppProcess(
@@ -280,6 +131,93 @@ def make_arrival_process(
     )
 
 
+def sample_requests(
+    arrival: Union[str, ArrivalProcess, TraceReplay],
+    rate_rps: float,
+    burst_rate_rps: Optional[float],
+    num_requests: int,
+    prompt_lengths: Optional[LengthDistribution],
+    gen_lengths: Optional[LengthDistribution],
+    class_mix: Sequence[Tuple[QosClass, float]],
+    seed: int,
+) -> Tuple[RequestSpec, ...]:
+    """The entry points' request stream.
+
+    ``arrival`` is a process name (see :func:`make_arrival_process`),
+    a ready-made process, or a :class:`TraceReplay`; lengths default
+    to 128 prompt and 21 generated tokens.
+    """
+    if isinstance(arrival, str):
+        arrival = make_arrival_process(arrival, rate_rps, burst_rate_rps)
+    return generate_requests(
+        arrival,
+        num_requests,
+        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
+        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
+        class_mix=class_mix,
+        seed=seed,
+    )
+
+
+def resolve_slo(
+    slo: Optional[Union[bool, str, object]],
+    class_mix: Sequence[Tuple[QosClass, float]],
+):
+    """The entry points' ``slo=`` as an :class:`~repro.obs.SloSpec`.
+
+    ``True`` derives one objective per QoS class of ``class_mix``, a
+    path loads a spec JSON, a spec passes through; ``None`` and
+    ``False`` mean no SLO monitoring.
+    """
+    if slo is None or slo is False:
+        return None
+    from repro.obs import SloSpec
+
+    if slo is True:
+        return SloSpec.for_classes(tuple(qos for qos, _ in class_mix))
+    if isinstance(slo, str):
+        return SloSpec.load(slo)
+    return slo
+
+
+def setup_echo(
+    replica,
+    model: str,
+    host: str,
+    placement: str,
+    compress_weights: bool,
+    arrival: Union[str, ArrivalProcess, TraceReplay],
+    rate_rps: float,
+    specs: Sequence[RequestSpec],
+    seed: int,
+    faults: Optional[Union[FaultSchedule, FaultInjector, str]],
+) -> Dict[str, object]:
+    """The configuration echo both entry points put in ``setup``.
+
+    ``replica`` (a :class:`~repro.fleet.replica.Replica`) supplies
+    what wiring resolved: the pricing backend, the fault seed and the
+    KV policy name.
+    """
+    setup: Dict[str, object] = {
+        "model": model,
+        "host": host,
+        "placement": placement,
+        "compress_weights": compress_weights,
+        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
+        "rate_rps": rate_rps,
+        "num_requests": len(specs),
+        "seed": seed,
+        "pricing_backend": replica.costs.backend_name,
+    }
+    injector = replica.scheduler.injector
+    if injector is not None:
+        setup["faults"] = faults if isinstance(faults, str) else "schedule"
+        setup["fault_seed"] = injector.seed
+    if replica.scheduler.kv is not None:
+        setup["kv_policy"] = replica.scheduler.kv.policy.name
+    return setup
+
+
 def simulate_serving(
     model: str = "opt-175b",
     host: str = "NVDRAM",
@@ -306,7 +244,6 @@ def simulate_serving(
     iteration_fault_pricing: bool = False,
     sanitize: Optional[Union[bool, object]] = None,
     slo: Optional[Union[bool, str, object]] = None,
-    observer=None,
     checkpoint=None,
     restore: Optional[Dict[str, object]] = None,
 ) -> ServingResult:
@@ -365,13 +302,12 @@ def simulate_serving(
     ``slo`` attaches streaming SLO monitoring (:mod:`repro.obs`):
     ``True`` derives one objective per QoS class from the class's own
     latency bounds, a path loads an :class:`~repro.obs.SloSpec` JSON,
-    or pass a spec directly.  ``observer`` injects a fully configured
-    :class:`~repro.obs.ServeObserver` instead (mutually exclusive
-    with ``slo``).  Either way the scheduler feeds it arrivals,
-    completions, sheds, and boundaries; burn rates and windowed
-    quantiles are published as ``slo/`` / ``obs/`` gauges, and the
-    end-of-run report lands in ``result.setup["slo"]``.  The default
-    ``None`` attaches nothing and leaves the run bit-identical.
+    or pass a spec directly.  The scheduler feeds the resulting
+    :class:`~repro.obs.ServeObserver` arrivals, completions, sheds,
+    and boundaries; burn rates and windowed quantiles are published
+    as ``slo/`` / ``obs/`` gauges, and the end-of-run report lands in
+    ``result.setup["slo"]``.  The default ``None`` attaches nothing
+    and leaves the run bit-identical.
 
     ``checkpoint`` (a :class:`~repro.serve.state.CheckpointPlan`)
     snapshots the full run state at iteration boundaries; ``restore``
@@ -380,131 +316,52 @@ def simulate_serving(
     bit-identically from the checkpointed boundary.  Resuming expects
     the *same* configuration arguments as the crashed call.
     """
-    if iteration_fault_pricing and pricing_backend != "event":
-        raise ConfigurationError(
-            "iteration_fault_pricing needs pricing_backend='event' — "
-            "only the event backend walks the per-layer schedule"
-        )
-    telemetry = resolve_telemetry(telemetry)
-    engine = OffloadEngine(
+    from repro.fleet.replica import build_replica
+
+    slo_spec = resolve_slo(slo, class_mix)
+    specs = sample_requests(
+        arrival,
+        rate_rps,
+        burst_rate_rps,
+        num_requests,
+        prompt_lengths,
+        gen_lengths,
+        class_mix,
+        seed,
+    )
+    replica = build_replica(
+        0,
         model=model,
         host=host,
         placement=placement,
         compress_weights=compress_weights,
-        batch_size=1,
-        pricing_backend=pricing_backend,
-    )
-    costs = engine.cost_model(overlap=overlap)
-    if telemetry.enabled:
-        engine.price_cache.bind_telemetry(telemetry.registry)
-        scope = telemetry.scoped("engine")
-        scope.gauge("spilled_layers").set(len(engine.spill_log))
-        scope.gauge("host_oversubscribed").set(
-            float(engine.host_oversubscribed)
-        )
-    injector = make_injector(faults, seed=fault_seed)
-    replanner: Optional[Replanner] = None
-    fault_targets: Optional[Tuple[str, ...]] = None
-    if injector is not None:
-        from repro.faults.models import HOST_TARGET, PCIE_TARGET
-        from repro.serve.resilience import engine_replanner
-
-        if telemetry.enabled:
-            injector.bind_telemetry(telemetry.registry)
-        fault_targets = (
-            HOST_TARGET,
-            PCIE_TARGET,
-            engine.host.host_region.name,
-            engine.host.label,
-        )
-        replanner = engine_replanner(engine, overlap=overlap)
-    if isinstance(arrival, str):
-        process: Union[ArrivalProcess, TraceReplay] = make_arrival_process(
-            arrival, rate_rps, burst_rate_rps
-        )
-    else:
-        process = arrival
-    specs = generate_requests(
-        process,
-        num_requests,
-        prompt_lengths=prompt_lengths or LengthDistribution.fixed(128),
-        gen_lengths=gen_lengths or LengthDistribution.fixed(21),
-        class_mix=class_mix,
-        seed=seed,
-    )
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") not in (
-            "",
-            "0",
-        )
-    sanitizer = None
-    if sanitize:
-        if isinstance(sanitize, bool):
-            from repro.chaos import SanitizerHarness
-
-            sanitizer = SanitizerHarness()
-        else:
-            sanitizer = sanitize
-    if slo is not None and observer is not None:
-        raise ConfigurationError(
-            "pass either slo= (a spec/path/True) or observer= (a "
-            "configured ServeObserver), not both"
-        )
-    if slo is not None:
-        from repro.obs import ServeObserver, SloSpec
-
-        if isinstance(slo, bool):
-            if slo:
-                spec = SloSpec.for_classes(
-                    tuple(qos for qos, _ in class_mix)
-                )
-                observer = ServeObserver(spec=spec)
-        elif isinstance(slo, str):
-            observer = ServeObserver(spec=SloSpec.load(slo))
-        else:
-            observer = ServeObserver(spec=slo)
-    kv = None
-    if kv_policy is not None:
-        from repro.kv import KvCacheManager
-        from repro.kv import kv_policy as resolve_kv_policy
-
-        kv = KvCacheManager(
-            engine, resolve_kv_policy(kv_policy), telemetry=telemetry
-        )
-    simulator = ServingSimulator(
-        costs,
         classes=tuple(qos for qos, _ in class_mix),
         max_batch=max_batch,
-        injector=injector,
+        overlap=overlap,
+        faults=faults,
+        fault_seed=fault_seed,
         retry=retry,
         resilience=resilience,
-        replanner=replanner,
-        fault_targets=fault_targets,
-        telemetry=telemetry,
+        pricing_backend=pricing_backend,
+        telemetry=resolve_telemetry(telemetry),
         prewarm=prewarm,
-        kv=kv,
+        kv_policy=kv_policy,
+        sanitize=sanitize,
         iteration_fault_pricing=iteration_fault_pricing,
-        sanitizer=sanitizer,
-        observer=observer,
+        slo=slo_spec,
     )
-    setup = {
-        "model": model,
-        "host": host,
-        "placement": placement,
-        "compress_weights": compress_weights,
-        "arrival": arrival if isinstance(arrival, str) else type(arrival).__name__,
-        "rate_rps": rate_rps,
-        "num_requests": len(specs),
-        "seed": seed,
-        "pricing_backend": costs.backend_name,
-    }
-    if injector is not None:
-        setup["faults"] = (
-            faults if isinstance(faults, str) else "schedule"
-        )
-        setup["fault_seed"] = injector.seed
-    if kv is not None:
-        setup["kv_policy"] = kv.policy.name
-    return simulator.run(
+    setup = setup_echo(
+        replica,
+        model,
+        host,
+        placement,
+        compress_weights,
+        arrival,
+        rate_rps,
+        specs,
+        seed,
+        faults,
+    )
+    return replica.run(
         specs, setup=setup, checkpoint=checkpoint, restore=restore
     )

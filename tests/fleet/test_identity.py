@@ -47,8 +47,10 @@ def test_single_replica_fleet_is_simulate_serving(model, placement):
 
 
 def test_identity_survives_the_full_stack():
-    """Faults + KV policy + sanitizer + bursty arrivals all thread
-    through the replica unchanged."""
+    """Faults + KV policy + sanitizer + SLO observer + bursty arrivals
+    all thread through the replica unchanged: the scheduler's one-pass
+    ``run`` and the fleet's incremental drive agree with every
+    optional component in the loop."""
     schedule = FaultSchedule(
         faults=(
             DegradationWindow(
@@ -70,10 +72,12 @@ def test_identity_survives_the_full_stack():
         fault_seed=5,
         kv_policy="hotness",
         sanitize=True,
+        slo=True,
     )
     replica = fleet.replicas[0].result
     assert replica.summary() == solo.summary()
     assert replica.records == solo.records
+    assert "slo" in solo.setup
     assert fleet_tel.registry.snapshot() == solo_tel.registry.snapshot()
 
 

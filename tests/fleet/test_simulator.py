@@ -118,6 +118,12 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="sanitizer"):
             simulate_fleet(replicas=2, sanitize=FakeSanitizer(), **FAST)
 
+    def test_iteration_fault_pricing_needs_event_backend(self):
+        with pytest.raises(ConfigurationError, match="event"):
+            simulate_fleet(
+                replicas=2, iteration_fault_pricing=True, **FAST
+            )
+
     def test_out_of_range_router_index_rejected(self):
         class BrokenRouter(FleetRouter):
             name = "broken"

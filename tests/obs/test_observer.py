@@ -2,11 +2,8 @@
 
 import json
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.fleet import simulate_fleet
-from repro.obs import ServeObserver, SloObjective, SloSpec, WindowConfig
+from repro.obs import SloObjective, SloSpec, WindowConfig
 from repro.serve.arrivals import PoissonProcess
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
@@ -78,17 +75,6 @@ class TestSloParamForms:
         objective = result.setup["slo"]["objectives"][0]
         assert objective["good"] + objective["bad"] == len(
             result.records
-        )
-
-    def test_slo_and_observer_conflict(self):
-        with pytest.raises(ConfigurationError):
-            serve(slo=True, observer=ServeObserver(spec=spec()))
-
-    def test_explicit_observer(self):
-        observer = ServeObserver(spec=spec())
-        result = serve(observer=observer)
-        assert result.setup["slo"]["objectives"][0]["name"] == (
-            "ttft-fast"
         )
 
 

@@ -28,6 +28,9 @@ class TestPoisson:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             PoissonProcess(rate_rps=0.0)
+        # NaN compares false with everything: ``rate <= 0`` let it in.
+        with pytest.raises(WorkloadError):
+            PoissonProcess(rate_rps=float("nan"))
 
 
 class TestMmpp:
@@ -56,6 +59,10 @@ class TestMmpp:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             MmppProcess(1.0, 0.5, 10.0, 10.0)   # burst below base
+        with pytest.raises(WorkloadError):
+            MmppProcess(float("nan"), 5.0, 10.0, 10.0)
+        with pytest.raises(WorkloadError):
+            MmppProcess(1.0, float("nan"), 10.0, 10.0)
 
 
 class TestGenerateRequests:
@@ -223,6 +230,16 @@ class TestDiurnal:
             DiurnalProcess(
                 base_rate_rps=0.5, peak_rate_rps=1.0, period_s=0.0
             )
+        with pytest.raises(WorkloadError):
+            DiurnalProcess(
+                base_rate_rps=float("nan"), peak_rate_rps=1.0,
+                period_s=10.0,
+            )
+        with pytest.raises(WorkloadError):
+            DiurnalProcess(
+                base_rate_rps=0.5, peak_rate_rps=float("nan"),
+                period_s=10.0,
+            )
 
 
 class TestFlashCrowd:
@@ -256,6 +273,16 @@ class TestFlashCrowd:
             FlashCrowdProcess(
                 base_rate_rps=0.5, peak_rate_rps=5.0,
                 start_s=-1.0, ramp_s=1.0, hold_s=1.0, decay_s=1.0,
+            )
+        with pytest.raises(WorkloadError):
+            FlashCrowdProcess(
+                base_rate_rps=float("nan"), peak_rate_rps=5.0,
+                start_s=10.0, ramp_s=1.0, hold_s=1.0, decay_s=1.0,
+            )
+        with pytest.raises(WorkloadError):
+            FlashCrowdProcess(
+                base_rate_rps=0.5, peak_rate_rps=float("nan"),
+                start_s=10.0, ramp_s=1.0, hold_s=1.0, decay_s=1.0,
             )
 
 
@@ -291,5 +318,10 @@ class TestLengthDistribution:
     def test_request_spec_validation(self):
         with pytest.raises(WorkloadError):
             RequestSpec(request_id=0, arrival_s=-1.0, prompt_len=8, gen_len=4)
+        for arrival_s in (float("nan"), float("inf")):
+            with pytest.raises(WorkloadError, match="finite"):
+                RequestSpec(
+                    request_id=0, arrival_s=arrival_s, prompt_len=8, gen_len=4
+                )
         with pytest.raises(WorkloadError):
             RequestSpec(request_id=0, arrival_s=0.0, prompt_len=0, gen_len=4)

@@ -75,6 +75,13 @@ class TestCli:
         assert code == 1
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
+    def test_nan_rate_is_an_error_not_a_hang(self, capsys, arrival):
+        code = main(["--rate", "nan", "--arrival", arrival])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+
 
 class TestParseClassMix:
     def test_parses_weights(self):
@@ -119,6 +126,14 @@ class TestFleetCli:
         assert "fleet" in captured.out
         assert "least-loaded" in captured.out
         assert "replica" in captured.out
+
+    def test_fleet_rejects_iteration_fault_pricing(self, capsys):
+        # Needs the event backend, as in a single-replica run.
+        code, captured = self.fleet_cli(
+            capsys, "--replicas", "2", "--iteration-fault-pricing"
+        )
+        assert code == 1
+        assert captured.err.startswith("error:")
 
     def test_fleet_json_summary(self, capsys, tmp_path):
         path = tmp_path / "fleet.json"
