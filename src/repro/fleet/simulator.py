@@ -136,8 +136,8 @@ class FleetSimulator:
     RNG — survivors are never perturbed) or drain them (the replica
     finishes its queued work, takes no new arrivals, and retires).
     Draining replicas are excluded from routing; nothing else about
-    the interleaving changes, and with no autoscaler attached the
-    loop is instruction-identical to the static fleet.
+    the interleaving changes.  Static and elastic fleets share one
+    arrival loop.
     """
 
     def __init__(
@@ -255,23 +255,11 @@ class FleetSimulator:
         for replica in self.replicas:
             replica.start(ordered)
         assignments: Dict[int, int] = {}
-        if self.autoscaler is None:
-            for spec in ordered:
-                for replica in self.replicas:
-                    replica.advance(spec.arrival_s)
-                target = self.router.route(spec, self.replicas)
-                if not 0 <= target < len(self.replicas):
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} returned replica "
-                        f"{target} for a fleet of {len(self.replicas)}"
-                    )
-                assignments[spec.request_id] = target
-                self.replicas[target].push(spec)
-        else:
-            for spec in ordered:
-                now = spec.arrival_s
-                for replica in self.replicas:
-                    replica.advance(now)
+        for spec in ordered:
+            now = spec.arrival_s
+            for replica in self.replicas:
+                replica.advance(now)
+            if self.autoscaler is not None:
                 self.autoscaler.on_arrival(spec)
                 self._harvest_completions()
                 decision = self.autoscaler.maybe_decide(
@@ -279,16 +267,18 @@ class FleetSimulator:
                 )
                 if decision is not None and decision.applied:
                     self._apply_decision(decision, now, ordered)
-                pool = self._active()
-                target = self.router.route(spec, pool)
-                if not 0 <= target < len(pool):
-                    raise ConfigurationError(
-                        f"router {self.router.name!r} returned replica "
-                        f"{target} for a fleet of {len(pool)}"
-                    )
-                chosen = pool[target]
-                assignments[spec.request_id] = chosen.index
-                chosen.push(spec)
+            # A static fleet never drains, so its pool is every
+            # replica, in index order.
+            pool = self._active()
+            target = self.router.route(spec, pool)
+            if not 0 <= target < len(pool):
+                raise ConfigurationError(
+                    f"router {self.router.name!r} returned replica "
+                    f"{target} for a fleet of {len(pool)}"
+                )
+            chosen = pool[target]
+            assignments[spec.request_id] = chosen.index
+            chosen.push(spec)
         outcomes = [replica.finish() for replica in self.replicas]
         if self.autoscaler is not None:
             self._harvest_completions()

@@ -184,27 +184,17 @@ class SchedulerRun:
         return min(1.0, self.gpu_busy_s / self.span_s)
 
 
-class _Hold:
-    """Shared mutable coupling between a drive and its generator.
-
-    ``managed=False`` (the :meth:`ContinuousBatchingScheduler.run`
-    path) pins the horizon at infinity and the stream closed, so every
-    park check inside the loop is statically false — the monolithic
-    run is bit-identical to the pre-generator scheduler.
-    """
-
-    __slots__ = ("managed", "open", "horizon", "state", "engine")
-
-    def __init__(self, managed: bool) -> None:
-        self.managed = managed
-        #: More arrivals may still be pushed.
-        self.open = managed
-        #: Virtual-time limit: the loop parks at the first boundary
-        #: whose ``now`` reaches it.
-        self.horizon = 0.0 if managed else math.inf
-        #: Live loop internals, published by the generator at setup.
-        self.state = None
-        self.engine = None
+def _insert_pending(state: SchedulerState, spec: RequestSpec) -> None:
+    """Insert ``spec`` into the unabsorbed tail of ``state.pending`` at
+    its sorted ``(arrival_s, request_id)`` position."""
+    key = (spec.arrival_s, spec.request_id)
+    pending = state.pending
+    index = state.next_arrival
+    while index < len(pending) and (
+        (pending[index].arrival_s, pending[index].request_id) <= key
+    ):
+        index += 1
+    pending.insert(index, spec)
 
 
 class SchedulerDrive:
@@ -215,17 +205,28 @@ class SchedulerDrive:
     :meth:`advance` runs the loop until its clock reaches a horizon
     (or it drains and parks), :meth:`close` declares the stream
     complete, and :meth:`finish` drains to the final
-    :class:`SchedulerRun`.
+    :class:`SchedulerRun`.  :meth:`ContinuousBatchingScheduler.run` is
+    a drive over a closed stream, finished at once; ``checkpoint`` and
+    ``restore`` are that method's arguments, carried to the loop.
     """
 
     def __init__(
         self,
         scheduler: "ContinuousBatchingScheduler",
         specs: Sequence[RequestSpec] = (),
+        checkpoint: Optional[CheckpointPlan] = None,
+        restore: Optional[dict] = None,
     ) -> None:
         self.scheduler = scheduler
-        self._hold = _Hold(managed=True)
-        self._gen = scheduler._drive(list(specs), None, None, self._hold)
+        #: More arrivals may still be pushed.
+        self.open = True
+        #: Virtual-time limit: the loop parks at the first boundary
+        #: whose ``now`` reaches it.
+        self.horizon = 0.0
+        #: Live loop internals, published by the loop at setup.
+        self.state: Optional[SchedulerState] = None
+        self.engine: Optional[SimEngine] = None
+        self._gen = scheduler._drive(list(specs), checkpoint, restore, self)
         self._result: Optional[SchedulerRun] = None
         self._step()  # run setup and park at the first boundary
 
@@ -238,12 +239,8 @@ class SchedulerDrive:
             self._result = stop.value
 
     @property
-    def state(self) -> SchedulerState:
-        return self._hold.state
-
-    @property
     def now(self) -> float:
-        return self._hold.engine.now
+        return self.engine.now
 
     @property
     def finished(self) -> bool:
@@ -252,44 +249,37 @@ class SchedulerDrive:
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting or running (router load signal)."""
-        state = self._hold.state
-        return len(state.waiting) + len(state.running)
+        return len(self.state.waiting) + len(self.state.running)
 
     def push(self, spec: RequestSpec) -> None:
         """Append one arrival to the live stream.
 
         The spec lands in the unabsorbed tail of the pending list at
         its sorted ``(arrival_s, request_id)`` position — exactly
-        where a monolithic run would have held it from the start.
+        where a one-pass run would have held it from the start.  After
+        a permanent outage aborted the run, the loop sheds it as
+        ``"outage"`` when it next resumes.
         """
-        if self._result is not None or not self._hold.open:
+        if self._result is not None or not self.open:
             raise WorkloadError(
                 "drive is closed; cannot push new arrivals"
             )
-        state = self._hold.state
-        key = (spec.arrival_s, spec.request_id)
-        pending = state.pending
-        index = state.next_arrival
-        while index < len(pending) and (
-            (pending[index].arrival_s, pending[index].request_id) <= key
-        ):
-            index += 1
-        pending.insert(index, spec)
+        _insert_pending(self.state, spec)
 
     def advance(self, until: float) -> None:
         """Run the loop until virtual time reaches ``until`` (or the
         stream drains and the loop parks waiting for pushes)."""
-        self._hold.horizon = until
+        self.horizon = until
         self._step()
 
     def close(self) -> None:
         """No further pushes: the loop may finish when drained."""
-        self._hold.open = False
+        self.open = False
 
     def finish(self) -> SchedulerRun:
         """Drain the remaining stream and return the final result."""
-        self._hold.open = False
-        self._hold.horizon = math.inf
+        self.open = False
+        self.horizon = math.inf
         self._step()
         return self._result
 
@@ -459,16 +449,12 @@ class ContinuousBatchingScheduler:
         crash).  ``restore`` resumes from a snapshot — ``specs`` is
         ignored then; the checkpoint carries the stream.
 
-        This drains :meth:`_drive` with a closed stream and an
-        infinite horizon, so no park point ever fires: the pass is
-        bit-identical to the pre-:class:`SchedulerDrive` scheduler.
+        The pass is a :class:`SchedulerDrive` over the closed stream,
+        finished at once: an infinite horizon never parks the loop.
         """
-        gen = self._drive(specs, checkpoint, restore, _Hold(managed=False))
-        try:
-            while True:
-                next(gen)
-        except StopIteration as stop:
-            return stop.value
+        if restore is None and not specs:
+            raise WorkloadError("nothing to serve: empty request stream")
+        return SchedulerDrive(self, specs, checkpoint, restore).finish()
 
     def drive(self, specs: Sequence[RequestSpec] = ()) -> SchedulerDrive:
         """An incremental handle over this scheduler's loop (see
@@ -480,23 +466,19 @@ class ContinuousBatchingScheduler:
         specs: Sequence[RequestSpec],
         checkpoint: Optional[CheckpointPlan],
         restore: Optional[dict],
-        hold: _Hold,
+        drive: SchedulerDrive,
     ):
-        """The serving loop as a generator parked by ``hold``.
+        """The serving loop as a generator parked by ``drive``.
 
-        Yields (parks) only in managed mode: at a boundary whose time
-        reached ``hold.horizon``, when idle with the next arrival past
-        the horizon, or when drained while the stream is still open.
-        Returns the final :class:`SchedulerRun` (captured from
-        ``StopIteration.value`` by the callers above).
+        Yields (parks) at a boundary whose time reached
+        ``drive.horizon``, when idle with the next arrival past the
+        horizon, or when drained (or aborted) while the stream is
+        still open.  Returns the final :class:`SchedulerRun` (captured
+        from ``StopIteration.value`` by :meth:`SchedulerDrive._step`).
         """
         if restore is not None:
             state, engine = self._restore(restore)
         else:
-            if not specs and not hold.managed:
-                raise WorkloadError(
-                    "nothing to serve: empty request stream"
-                )
             state = SchedulerState(
                 pending=sorted(
                     specs, key=lambda s: (s.arrival_s, s.request_id)
@@ -505,8 +487,8 @@ class ContinuousBatchingScheduler:
                 active_costs=self.costs,
             )
             engine = SimEngine()
-        hold.state = state
-        hold.engine = engine
+        drive.state = state
+        drive.engine = engine
         gpu = engine.stream("gpu")
 
         injector = self.injector
@@ -539,20 +521,9 @@ class ContinuousBatchingScheduler:
         admitted_counter = serve_metrics.counter("admitted_requests")
         completed_counter = serve_metrics.counter("completed_requests")
         wait_histogram = serve_metrics.histogram("wait_s")
-        if hold.managed:
-            # The stream arrives incrementally; the request count is
-            # only known at finalization (set there, first, so the
-            # attribute set matches a monolithic run's exactly).
-            run_span = tracer.start(
-                "serve run", engine.now, category="run"
-            )
-        else:
-            run_span = tracer.start(
-                "serve run",
-                engine.now,
-                category="run",
-                requests=len(state.pending),
-            )
+        # The request count is only known at finalization (set there,
+        # first, so it leads the span's attributes).
+        run_span = tracer.start("serve run", engine.now, category="run")
         kv = self.kv
         if kv is not None:
             kv.bind_run(tracer, run_span)
@@ -638,16 +609,9 @@ class ContinuousBatchingScheduler:
             attempt = state.attempts.get(spec.request_id, 1) + 1
             state.attempts[spec.request_id] = attempt
             arrival = now + resilience.client_backoff_s(attempt)
-            retry_spec = dataclasses.replace(spec, arrival_s=arrival)
-            key = (arrival, spec.request_id)
-            index = state.next_arrival
-            pending = state.pending
-            while index < len(pending) and (
-                (pending[index].arrival_s, pending[index].request_id)
-                <= key
-            ):
-                index += 1
-            pending.insert(index, retry_spec)
+            _insert_pending(
+                state, dataclasses.replace(spec, arrival_s=arrival)
+            )
             state.client_retries += 1
             serve_metrics.counter("client_retries").inc()
             run_span.event(
@@ -703,22 +667,27 @@ class ContinuousBatchingScheduler:
             ):
                 retry_client(spec, now)
 
-        def shed_waiting(
-            now: float, reason: str, sheddable_only: bool
+        def shed_where(
+            running: bool, shed_if, now: float, reason: str
         ) -> None:
-            kept: List[Tuple[int, float, int, ServeRequest]] = []
-            for entry in state.waiting:
-                request = entry[-1]
-                if (
-                    sheddable_only
-                    and request.qos.priority
-                    < resilience.shed_priority_floor
-                ):
-                    kept.append(entry)
-                else:
+            """Shed the running (or waiting) requests ``shed_if`` picks;
+            the rest keep their order (the waiting heap is re-heapified,
+            a no-op when nothing was removed)."""
+            kept = []
+            for entry in state.running if running else state.waiting:
+                request = entry if running else entry[-1]
+                if shed_if(request):
                     shed_one(request.spec, now, reason)
-            heapq.heapify(kept)
-            state.waiting = kept
+                else:
+                    kept.append(entry)
+            if running:
+                state.running = kept
+            else:
+                heapq.heapify(kept)
+                state.waiting = kept
+
+        def sheddable(request: ServeRequest) -> bool:
+            return request.qos.priority >= resilience.shed_priority_floor
 
         def shed_ids(
             ids: Sequence[int], now: float, reason: str
@@ -727,43 +696,45 @@ class ContinuousBatchingScheduler:
             id_set = set(ids)
             if not id_set:
                 return
-            kept_running: List[ServeRequest] = []
-            for request in state.running:
-                if request.spec.request_id in id_set:
-                    shed_one(request.spec, now, reason)
-                else:
-                    kept_running.append(request)
-            state.running = kept_running
-            kept_waiting: List[Tuple[int, float, int, ServeRequest]] = []
-            changed = False
-            for entry in state.waiting:
-                if entry[-1].spec.request_id in id_set:
-                    shed_one(entry[-1].spec, now, reason)
-                    changed = True
-                else:
-                    kept_waiting.append(entry)
-            if changed:
-                heapq.heapify(kept_waiting)
-                state.waiting = kept_waiting
 
-        def sweep_deadlines(now: float) -> None:
-            kept: List[Tuple[int, float, int, ServeRequest]] = []
-            changed = False
-            for entry in state.waiting:
-                request = entry[-1]
-                if (
-                    now - request.spec.arrival_s
-                    > resilience.queue_deadline_s
-                ):
-                    state.timeouts += 1
-                    serve_metrics.counter("timeouts").inc()
-                    shed_one(request.spec, now, "timeout")
-                    changed = True
-                else:
-                    kept.append(entry)
-            if changed:
-                heapq.heapify(kept)
-                state.waiting = kept
+            def listed(request: ServeRequest) -> bool:
+                return request.spec.request_id in id_set
+
+            shed_where(True, listed, now, reason)
+            shed_where(False, listed, now, reason)
+
+        def expired(request: ServeRequest) -> bool:
+            """Past its queueing deadline at this boundary's ``now``;
+            counts the timeout."""
+            if now - request.spec.arrival_s > resilience.queue_deadline_s:
+                state.timeouts += 1
+                serve_metrics.counter("timeouts").inc()
+                return True
+            return False
+
+        def replan(severity: float, now: float) -> None:
+            """Re-plan placement at ``severity`` and serve off it."""
+            outcome = self.replanner(severity)
+            state.active_costs = outcome.costs
+            state.effective_max = max(
+                1, min(self.max_batch, outcome.max_batch)
+            )
+            state.replanned = True
+            state.replan_severity = severity
+            state.replans += 1
+            serve_metrics.counter("replans").inc()
+            run_span.event(
+                "replan", now,
+                label=outcome.label,
+                max_batch=state.effective_max,
+            )
+
+        def reset_plan() -> None:
+            """Return to the nominal plan and batch cap."""
+            state.replanned = False
+            state.replan_severity = 0.0
+            state.active_costs = self.costs
+            state.effective_max = self.max_batch
 
         def structural_step(now: float) -> None:
             """React to runtime changes in the hierarchy's shape."""
@@ -813,21 +784,7 @@ class ContinuousBatchingScheduler:
                     resilience.tier_loss_severity, state.replan_severity
                 )
                 if not state.replanned or severity > state.replan_severity:
-                    outcome = self.replanner(severity)
-                    state.active_costs = outcome.costs
-                    state.effective_max = max(
-                        1, min(self.max_batch, outcome.max_batch)
-                    )
-                    state.replanned = True
-                    state.replan_severity = severity
-                    state.replans += 1
-                    serve_metrics.counter("replans").inc()
-                    run_span.event(
-                        "replan",
-                        now,
-                        label=outcome.label,
-                        max_batch=state.effective_max,
-                    )
+                    replan(severity, now)
                 state.structural_replan = True
             if (
                 state.structural_replan
@@ -837,10 +794,7 @@ class ContinuousBatchingScheduler:
                 # Every lost tier came back: return to the nominal
                 # plan (a concurrent bandwidth degradation keeps it).
                 state.structural_replan = False
-                state.replanned = False
-                state.replan_severity = 0.0
-                state.active_costs = self.costs
-                state.effective_max = self.max_batch
+                reset_plan()
                 run_span.event("replan_reset", now)
 
         def priced_iteration(
@@ -908,51 +862,51 @@ class ContinuousBatchingScheduler:
                 state.retry_overhead_s += extra
             return parts.total_s(scale) + extra
 
-        def evict_running(now: float) -> None:
-            """Preempt sheddable running requests, freeing KV slots."""
-            kept: List[ServeRequest] = []
-            for request in state.running:
-                if request.qos.priority < resilience.shed_priority_floor:
-                    kept.append(request)
-                else:
-                    shed_one(request.spec, now, "degraded")
-            state.running = kept
-
-        def record_stall(now: float, duration_s: float) -> None:
-            serve_metrics.counter("stalls").inc()
-            serve_metrics.counter("stall_s").inc(duration_s)
-            run_span.event("stall", now, duration_s=round(duration_s, 6))
-
-        def abort_run(now: float) -> None:
-            """Permanent outage: fail everything outstanding."""
-            run_span.event("abort", now)
-            shed_waiting(now, "outage", sheddable_only=False)
-            for request in state.running:
-                shed_one(request.spec, now, "outage")
-            state.running = []
+        def shed_tail(now: float) -> None:
+            """Shed every unabsorbed arrival as an outage."""
             for index in range(state.next_arrival, len(state.pending)):
                 spec = state.pending[index]
                 shed_one(spec, max(now, spec.arrival_s), "outage")
-            state.aborted = True
+            state.next_arrival = len(state.pending)
+
+        def stall(now: float, duration_s: float) -> bool:
+            """Spend ``duration_s`` on a tier that cannot serve; past
+            the stall budget, abort the run.  Returns whether it did."""
+            state.stall_streak += 1
+            state.stalls += 1
+            state.stall_s += duration_s
+            serve_metrics.counter("stalls").inc()
+            serve_metrics.counter("stall_s").inc(duration_s)
+            run_span.event("stall", now, duration_s=round(duration_s, 6))
+            if state.stall_streak >= resilience.stall_limit:
+                # Permanent outage: fail everything outstanding.
+                run_span.event("abort", now)
+                shed_where(False, lambda _: True, now, "outage")
+                shed_where(True, lambda _: True, now, "outage")
+                shed_tail(now)
+                state.aborted = True
+                return True
+            engine.clock.advance_to(now + duration_s)
+            return False
 
         while True:
             if (
                 len(state.records) + len(state.shed_records)
                 >= len(state.pending)
             ):
-                if not hold.open:
+                if not drive.open:
                     break
                 # Drained but the stream is still open: park until the
                 # router pushes more work (or closes the stream).
                 yield "drained"
                 continue
             now = engine.now
-            if now >= hold.horizon:
+            if now >= drive.horizon:
                 # The horizon is checked before the boundary counter
                 # so parked passes burn no boundaries; `>=` makes a
                 # boundary landing exactly on an arrival's horizon
                 # park first — the push lands, then the boundary
-                # absorbs it, matching the monolithic ordering.
+                # absorbs it, matching the one-pass ordering.
                 yield "horizon"
                 continue
             boundary = state.boundary + 1
@@ -981,7 +935,7 @@ class ContinuousBatchingScheduler:
                 and resilience.queue_deadline_s is not None
                 and state.waiting
             ):
-                sweep_deadlines(now)
+                shed_where(False, expired, now, "timeout")
 
             if structural_faults and kv is not None:
                 structural_step(now)
@@ -1013,7 +967,7 @@ class ContinuousBatchingScheduler:
                         down=health.down,
                     )
                     if resilience.evict and state.running:
-                        evict_running(now)
+                        shed_where(True, sheddable, now, "degraded")
                     if kv is not None and self._demote_kv:
                         kv.on_degraded(now, max(1.0, health.slowdown))
                     severity = max(1.0, health.slowdown)
@@ -1026,20 +980,7 @@ class ContinuousBatchingScheduler:
                         and self.replanner is not None
                         and severity >= resilience.degraded_threshold
                     ):
-                        outcome = self.replanner(severity)
-                        state.active_costs = outcome.costs
-                        state.effective_max = max(
-                            1, min(self.max_batch, outcome.max_batch)
-                        )
-                        state.replanned = True
-                        state.replan_severity = severity
-                        state.replans += 1
-                        serve_metrics.counter("replans").inc()
-                        run_span.event(
-                            "replan", now,
-                            label=outcome.label,
-                            max_batch=state.effective_max,
-                        )
+                        replan(severity, now)
                     elif resilience.shrink_batch and severity > 1.0:
                         state.effective_max = max(
                             1, int(self.max_batch / severity)
@@ -1051,16 +992,13 @@ class ContinuousBatchingScheduler:
                     state.degraded_mode = False
                     run_span.event("degraded_exit", now)
                     if not state.structural_replan:
-                        state.replanned = False
-                        state.replan_severity = 0.0
-                        state.active_costs = self.costs
-                        state.effective_max = self.max_batch
+                        reset_plan()
                 if (
                     state.degraded_mode
                     and resilience.shed
                     and state.waiting
                 ):
-                    shed_waiting(now, "degraded", sheddable_only=True)
+                    shed_where(False, sheddable, now, "degraded")
 
             if sanitizer is not None:
                 sanitizer.observe(
@@ -1073,7 +1011,7 @@ class ContinuousBatchingScheduler:
 
             if not state.waiting and not state.running:
                 if state.next_arrival >= len(state.pending):
-                    if hold.open:
+                    if drive.open:
                         # More arrivals may still be pushed.
                         yield "idle"
                         continue
@@ -1083,7 +1021,7 @@ class ContinuousBatchingScheduler:
                 # Idle server: jump to the next arrival — but never
                 # past the horizon, where later-routed work may land.
                 target = state.pending[state.next_arrival].arrival_s
-                if target > hold.horizon:
+                if target > drive.horizon:
                     yield "idle"
                     continue
                 engine.clock.advance_to(target)
@@ -1092,14 +1030,8 @@ class ContinuousBatchingScheduler:
             if health is not None and health.down:
                 # The tier is unusable: no iteration can run.  Spend
                 # one retry budget discovering that, then reassess.
-                state.stall_streak += 1
-                state.stalls += 1
-                state.stall_s += retry.timeout_s
-                record_stall(now, retry.timeout_s)
-                if state.stall_streak >= resilience.stall_limit:
-                    abort_run(now)
+                if stall(now, retry.timeout_s):
                     break
-                engine.clock.advance_to(now + retry.timeout_s)
                 continue
 
             limit = state.effective_max
@@ -1145,159 +1077,103 @@ class ContinuousBatchingScheduler:
                 if not admitted and not state.running:
                     # The head-of-line request was shed; reassess.
                     continue
+
+            # One iteration: a prefill over the newly admitted prompts
+            # (decode pauses), else one decode token for every running
+            # sequence.
             if admitted:
+                kind = "prefill"
+                batch = len(admitted)
                 if self.prefix_cache is None:
-                    prompt_max = max(r.spec.prompt_len for r in admitted)
+                    tokens = max(r.spec.prompt_len for r in admitted)
                 else:
-                    prompt_max = max(
+                    tokens = max(
                         self.prefix_cache.effective_prompt_len(r.spec, now)
                         for r in admitted
                     )
-                if injector is None:
-                    duration = self.costs.prefill_time(
-                        len(admitted), prompt_max
-                    )
-                else:
-                    try:
-                        duration = priced_iteration(
-                            "prefill", len(admitted), prompt_max,
-                            now, health,
-                        )
-                    except TransferError as error:
-                        # Exhausted retries: put the batch back, stall
-                        # for the time the attempts consumed.
-                        for request in admitted:
-                            if kv is not None:
-                                kv.release(request.spec.request_id, now)
-                            heapq.heappush(
-                                state.waiting,
-                                (
-                                    request.qos.priority,
-                                    request.spec.arrival_s,
-                                    request.spec.request_id,
-                                    request,
-                                ),
-                            )
-                        state.stall_streak += 1
-                        state.stalls += 1
-                        state.stall_s += error.elapsed_s
-                        record_stall(now, error.elapsed_s)
-                        if state.stall_streak >= resilience.stall_limit:
-                            abort_run(now)
-                            break
-                        engine.clock.advance_to(now + error.elapsed_s)
-                        continue
-                if kv is not None:
-                    # The static policy's surcharge is exactly 0.0;
-                    # dynamic policies charge admission-time demotions
-                    # here.
-                    duration += kv_surcharge
-                state.stall_streak = 0
-                gpu.enqueue(
-                    duration,
-                    label=f"prefill x{len(admitted)}",
-                    category="prefill",
-                    meta={
-                        "batch": len(admitted),
-                        "prompt_len": prompt_max,
-                        "requests": [r.spec.request_id for r in admitted],
-                        "degraded": state.degraded_mode,
-                    },
+                meta = {
+                    "batch": batch,
+                    "prompt_len": tokens,
+                    "requests": [r.spec.request_id for r in admitted],
+                    "degraded": state.degraded_mode,
+                }
+                nominal_time = self.costs.prefill_time
+            else:
+                kind = "decode"
+                batch = len(state.running)
+                tokens = max(
+                    request.context_len for request in state.running
                 )
-                engine.run()
-                done_at = engine.now
-                state.gpu_busy += duration
-                state.prefills += 1
-                admitted_counter.inc(len(admitted))
-                iteration_counters["prefill"].inc()
-                iteration_histograms["prefill"].observe(duration)
-                tracer.span(
-                    f"prefill x{len(admitted)}", now, done_at,
-                    parent=run_span, category="iteration",
-                    kind="prefill", batch=len(admitted),
-                    tokens=prompt_max, degraded=state.degraded_mode,
-                )
-                if observer is not None:
-                    observer.on_iteration(
-                        "prefill", len(admitted), done_at
-                    )
-                if state.degraded_mode:
-                    state.degraded_iterations += 1
-                for request in admitted:
-                    request.admitted_s = now
-                    request.token_times.append(done_at)
-                    if request.done:
-                        finish(request)
-                    else:
-                        state.running.append(request)
-                state.timeline.append(
-                    IterationSample(
-                        time_s=done_at,
-                        kind="prefill",
-                        batch=len(admitted),
-                        waiting=len(state.waiting),
-                        running_after=len(state.running),
-                        degraded=state.degraded_mode,
-                    )
-                )
-                continue
-
-            # Decode: one token for every running sequence.
-            decode_batch = len(state.running)
-            context = max(
-                request.context_len for request in state.running
-            )
+                meta = {
+                    "batch": batch,
+                    "context_len": tokens,
+                    "degraded": state.degraded_mode,
+                }
+                nominal_time = self.costs.decode_time
             if injector is None:
-                duration = self.costs.decode_time(decode_batch, context)
+                duration = nominal_time(batch, tokens)
             else:
                 try:
                     duration = priced_iteration(
-                        "decode", decode_batch, context, now, health,
+                        kind, batch, tokens, now, health
                     )
                 except TransferError as error:
-                    state.stall_streak += 1
-                    state.stalls += 1
-                    state.stall_s += error.elapsed_s
-                    record_stall(now, error.elapsed_s)
-                    if state.stall_streak >= resilience.stall_limit:
-                        abort_run(now)
+                    # Exhausted retries: put any admitted batch back,
+                    # stall for the time the attempts consumed.
+                    for request in admitted:
+                        if kv is not None:
+                            kv.release(request.spec.request_id, now)
+                        heapq.heappush(
+                            state.waiting,
+                            (
+                                request.qos.priority,
+                                request.spec.arrival_s,
+                                request.spec.request_id,
+                                request,
+                            ),
+                        )
+                    if stall(now, error.elapsed_s):
                         break
-                    engine.clock.advance_to(now + error.elapsed_s)
                     continue
             if kv is not None:
-                # Slow-tier KV reads for this pass, drained demotion
-                # time, and passive promotions (0.0 for the static
-                # policy).
-                duration += kv.on_decode(state.running, now)
+                # Admission-time demotions for a prefill; slow-tier KV
+                # reads, drained demotion time and passive promotions
+                # for a decode (0.0 for the static policy).
+                duration += (
+                    kv_surcharge
+                    if admitted
+                    else kv.on_decode(state.running, now)
+                )
             state.stall_streak = 0
-            gpu.enqueue(
-                duration,
-                label=f"decode x{decode_batch}",
-                category="decode",
-                meta={
-                    "batch": decode_batch,
-                    "context_len": context,
-                    "degraded": state.degraded_mode,
-                },
-            )
+            label = f"{kind} x{batch}"
+            gpu.enqueue(duration, label=label, category=kind, meta=meta)
             engine.run()
             done_at = engine.now
             state.gpu_busy += duration
-            state.decodes += 1
-            iteration_counters["decode"].inc()
-            iteration_histograms["decode"].observe(duration)
+            if admitted:
+                state.prefills += 1
+                admitted_counter.inc(batch)
+            else:
+                state.decodes += 1
+            iteration_counters[kind].inc()
+            iteration_histograms[kind].observe(duration)
             tracer.span(
-                f"decode x{decode_batch}", now, done_at,
+                label, now, done_at,
                 parent=run_span, category="iteration",
-                kind="decode", batch=decode_batch,
-                tokens=context, degraded=state.degraded_mode,
+                kind=kind, batch=batch,
+                tokens=tokens, degraded=state.degraded_mode,
             )
             if observer is not None:
-                observer.on_iteration("decode", decode_batch, done_at)
+                observer.on_iteration(kind, batch, done_at)
             if state.degraded_mode:
                 state.degraded_iterations += 1
-            still_running: List[ServeRequest] = []
-            for request in state.running:
+            if admitted:
+                for request in admitted:
+                    request.admitted_s = now
+                served, still_running = admitted, state.running
+            else:
+                served, still_running = state.running, []
+            for request in served:
                 request.token_times.append(done_at)
                 if request.done:
                     finish(request)
@@ -1307,13 +1183,20 @@ class ContinuousBatchingScheduler:
             state.timeline.append(
                 IterationSample(
                     time_s=done_at,
-                    kind="decode",
-                    batch=decode_batch,
+                    kind=kind,
+                    batch=batch,
                     waiting=len(state.waiting),
                     running_after=len(state.running),
                     degraded=state.degraded_mode,
                 )
             )
+
+        while state.aborted and drive.open:
+            # A permanent outage ended service but more arrivals may
+            # still be pushed: shed each as the one-pass run sheds its
+            # unabsorbed tail.
+            yield "aborted"
+            shed_tail(engine.now)
 
         if sanitizer is not None:
             sanitizer.finish(
@@ -1323,8 +1206,8 @@ class ContinuousBatchingScheduler:
         if observer is not None:
             observer.finalize(engine.now)
 
-        if hold.managed:
-            run_span.set("requests", len(state.pending))
+        # Each client retry added one pending entry.
+        run_span.set("requests", len(state.pending) - state.client_retries)
         run_span.set("completed", len(state.records))
         run_span.set("shed", len(state.shed_records))
         run_span.set("iterations", state.prefills + state.decodes)
