@@ -11,7 +11,8 @@ natural points of its loop:
 * ``on_finish`` / ``on_shed`` as requests complete or are rejected,
 * ``on_iteration`` after each priced prefill/decode pass,
 * ``on_boundary`` once per iteration boundary — this is where burn
-  rates are re-evaluated and the ``obs/`` gauges are published, and
+  rates are re-evaluated and the ``obs/`` gauges are published, when
+  an event or the window index changed since the last boundary, and
 * ``finalize`` at run end.
 
 Every hook is a plain method call guarded at the call sites by
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.slo import SloMonitor, SloSpec
 from repro.obs.window import RollingCounter, WindowConfig, WindowedHistogram
 
@@ -39,8 +41,13 @@ GAUGE_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p99", 0.99),
 )
 
-#: Windowed latency families the observer maintains per QoS class.
-LATENCY_METRICS = ("ttft", "tbt", "e2e")
+#: Rolling counter -> (rate gauge name, help text).
+RATE_GAUGES: Dict[str, Tuple[str, str]] = {
+    "arrivals": ("arrival_rate_rps", "windowed arrival rate"),
+    "completions": ("completion_rate_rps", "windowed completion rate"),
+    "sheds": ("shed_rate_rps", "windowed shed rate"),
+    "tokens": ("token_rate_tps", "windowed generated-token rate"),
+}
 
 
 class ServeObserver:
@@ -49,6 +56,10 @@ class ServeObserver:
     ``recent_windows`` controls how many trailing windows the
     published rate/quantile gauges aggregate over (burn rules manage
     their own windows through the spec).
+
+    Every published value is a function of the instruments and the
+    boundary's window index, so a boundary where neither moved re-sets
+    only the token-rate gauge (``on_iteration`` feeds it every pass).
     """
 
     def __init__(
@@ -59,30 +70,40 @@ class ServeObserver:
     ) -> None:
         if window is None:
             window = spec.window if spec is not None else WindowConfig()
+        if recent_windows < 1:
+            raise ConfigurationError(
+                f"recent_windows must be at least 1, got {recent_windows}"
+            )
         self.spec = spec
         self.window = window
         self.recent_windows = min(recent_windows, window.windows)
         self._latency: Dict[Tuple[str, str], WindowedHistogram] = {}
-        self._arrivals = RollingCounter("arrivals", window)
-        self._completions = RollingCounter("completions", window)
-        self._sheds = RollingCounter("sheds", window)
-        self._tokens = RollingCounter("tokens", window)
+        self._counters = {
+            name: RollingCounter(name, window) for name in RATE_GAUGES
+        }
         self.slo: Optional[SloMonitor] = None
         self._obs = None  #: ``obs/``-scoped registry once bound.
+        #: (gauge name, qos) -> handle, resolved once per binding.
+        self._gauges: Dict[Tuple[str, str], object] = {}
         self._last_now = 0.0
+        #: Whether an event or merge arrived since the last publish,
+        #: and the window indices that publish read.
+        self._changed = True
+        self._published_at: Optional[Tuple[int, int]] = None
 
     # -- binding --------------------------------------------------------
 
     def bind_run(self, telemetry, run_span) -> None:
         """Attach the run's telemetry; called once by the scheduler."""
         self._obs = telemetry.scoped("obs")
+        self._gauges = {}
+        self._changed = True
         if self.spec is not None:
             if self.slo is None:
                 self.slo = SloMonitor(self.spec)
             # Re-binding preserves accumulated state (fleet rollup
             # observers merge replica snapshots before binding).
-            self.slo.registry = telemetry.registry
-            self.slo.span = run_span
+            self.slo.bind(telemetry.registry, run_span)
 
     def _histogram(self, metric: str, qos: str) -> WindowedHistogram:
         key = (metric, qos)
@@ -97,11 +118,13 @@ class ServeObserver:
     # -- scheduler hooks ------------------------------------------------
 
     def on_arrival(self, spec) -> None:
-        self._arrivals.inc(spec.arrival_s)
+        self._changed = True
+        self._counters["arrivals"].inc(spec.arrival_s)
 
     def on_finish(self, record) -> None:
+        self._changed = True
         when = record.finished_s
-        self._completions.inc(when)
+        self._counters["completions"].inc(when)
         qos = record.qos_class
         self._histogram("ttft", qos).observe(record.ttft_s, when)
         self._histogram("tbt", qos).observe(record.tbt_s, when)
@@ -110,20 +133,28 @@ class ServeObserver:
             self.slo.observe(record)
 
     def on_shed(self, shed) -> None:
-        self._sheds.inc(shed.shed_s)
+        self._changed = True
+        self._counters["sheds"].inc(shed.shed_s)
         if self.slo is not None:
             self.slo.observe_shed(shed)
 
     def on_iteration(self, kind: str, batch: int, done_at: float) -> None:
         # Every iteration emits one token per batched sequence
         # (prefill: the first token of each admitted prompt).
-        self._tokens.inc(done_at, batch)
+        self._counters["tokens"].inc(done_at, batch)
 
     def on_boundary(self, now: float) -> None:
         self._last_now = max(self._last_now, now)
-        if self.slo is not None:
-            self.slo.evaluate(now)
-        self._publish(now)
+        at = (
+            self.window.index(now),
+            self.spec.window.index(now) if self.spec is not None else 0,
+        )
+        changed = self._changed or at != self._published_at
+        if changed:
+            self._changed, self._published_at = False, at
+            if self.slo is not None:
+                self.slo.evaluate(now)
+        self._publish(now, everything=changed)
 
     def finalize(self, now: float) -> None:
         """Last evaluation at run end, so gauges reflect the full run."""
@@ -131,50 +162,34 @@ class ServeObserver:
 
     # -- publishing -----------------------------------------------------
 
-    def _publish(self, now: float) -> None:
+    def _publish(self, now: float, everything: bool = True) -> None:
         if self._obs is None:
             return
         k = self.recent_windows
-        self._obs.gauge(
-            "arrival_rate_rps", help_text="windowed arrival rate"
-        ).set(self._arrivals.rate(k, now=now))
-        self._obs.gauge(
-            "completion_rate_rps", help_text="windowed completion rate"
-        ).set(self._completions.rate(k, now=now))
-        self._obs.gauge(
-            "shed_rate_rps", help_text="windowed shed rate"
-        ).set(self._sheds.rate(k, now=now))
-        self._obs.gauge(
-            "token_rate_tps", help_text="windowed generated-token rate"
-        ).set(self._tokens.rate(k, now=now))
+        for name in RATE_GAUGES if everything else ("tokens",):
+            gauge, help_text = RATE_GAUGES[name]
+            rate = self._counters[name].rate(k, now=now)
+            self._gauge(gauge, "", help_text).set(rate)
+        if not everything:
+            return
         for (metric, qos) in sorted(self._latency):
             instrument = self._latency[(metric, qos)]
             for suffix, q in GAUGE_QUANTILES:
-                self._obs.gauge(
-                    f"{metric}_{suffix}_s",
-                    labels={"qos": qos},
-                    help_text=f"windowed {metric} {suffix}",
+                self._gauge(
+                    f"{metric}_{suffix}_s", qos, f"windowed {metric} {suffix}"
                 ).set(instrument.quantile(q, windows=k, now=now))
 
-    # -- reading / rollups ----------------------------------------------
+    def _gauge(self, name: str, qos: str, help_text: str):
+        gauge = self._gauges.get((name, qos))
+        if gauge is None:
+            gauge = self._gauges[(name, qos)] = self._obs.gauge(
+                name,
+                labels={"qos": qos} if qos else None,
+                help_text=help_text,
+            )
+        return gauge
 
-    def quantile(
-        self,
-        metric: str,
-        qos: str,
-        q: float,
-        windows: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> float:
-        """Mid-run windowed quantile, e.g. ``("ttft", "standard", .99)``."""
-        instrument = self._latency.get((metric, qos))
-        if instrument is None:
-            return 0.0
-        return instrument.quantile(
-            q,
-            windows=windows if windows is not None else self.recent_windows,
-            now=now,
-        )
+    # -- rollups --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Windowed state as a JSON-able dict, mergeable per replica."""
@@ -187,13 +202,8 @@ class ServeObserver:
                 for (metric, qos) in sorted(self._latency)
             },
             "counters": {
-                counter.name: counter.snapshot()
-                for counter in (
-                    self._arrivals,
-                    self._completions,
-                    self._sheds,
-                    self._tokens,
-                )
+                name: counter.snapshot()
+                for name, counter in self._counters.items()
             },
             "last_now": self._last_now,
         }
@@ -213,18 +223,10 @@ class ServeObserver:
                 self.slo = SloMonitor(self.spec)
             if self.slo is not None:
                 self.slo.merge(snapshot["slo"])
-        counters = {
-            counter.name: counter
-            for counter in (
-                self._arrivals,
-                self._completions,
-                self._sheds,
-                self._tokens,
-            )
-        }
         for name, entry in snapshot.get("counters", {}).items():
-            if name in counters:
-                counters[name].merge(entry)
+            if name in self._counters:
+                self._counters[name].merge(entry)
+        self._changed = True
         self._last_now = max(
             self._last_now, float(snapshot.get("last_now", 0.0))
         )

@@ -147,6 +147,13 @@ class BurnRule:
         )
 
 
+#: Gauges published per objective under ``slo/``: (name, help text).
+SLO_GAUGES: Tuple[Tuple[str, str], ...] = (
+    ("attainment", "lifetime good fraction per objective"),
+    ("burn_rate", "burn rate over the longest rule window"),
+    ("firing", "1 while any burn rule is firing"),
+)
+
 #: The classic fast-burn / slow-burn pair, scaled to window counts.
 DEFAULT_BURN_RULES: Tuple[BurnRule, ...] = (
     BurnRule(factor=14.4, long_windows=4, short_windows=1),
@@ -308,14 +315,22 @@ class SloMonitor:
 
     def __init__(self, spec: SloSpec, registry=None, span=None) -> None:
         self.spec = spec
-        self.registry = registry
-        self.span = span
+        self.bind(registry, span)
+        self._widest = max(rule.long_windows for rule in spec.burn_rules)
         self._states = [
             _ObjectiveState(objective, spec.window)
             for objective in spec.objectives
         ]
         self.alerts: List[SloAlert] = []
         self._first_breach_s: Optional[float] = None
+
+    def bind(self, registry, span) -> None:
+        """Publish into ``registry`` and ``span``; gauge handles are
+        resolved afresh, once per objective."""
+        self.registry = registry
+        self.span = span
+        #: objective name -> its :data:`SLO_GAUGES` handles.
+        self._gauges: Dict[str, List] = {}
 
     # -- feeding --------------------------------------------------------
 
@@ -339,12 +354,9 @@ class SloMonitor:
         edges: List[SloAlert] = []
         for state in self._states:
             objective = state.objective
-            labels = {"objective": objective.name, "qos": objective.qos}
-            rates: Dict[int, Tuple[float, float]] = {}
             for index, rule in enumerate(self.spec.burn_rules):
                 burn_long = state.burn_rate(rule.long_windows, now)
                 burn_short = state.burn_rate(rule.short_windows, now)
-                rates[index] = (burn_long, burn_short)
                 firing = (
                     burn_long >= rule.factor and burn_short >= rule.factor
                 )
@@ -362,25 +374,25 @@ class SloMonitor:
                     if firing and self._first_breach_s is None:
                         self._first_breach_s = now
             if self.registry is not None:
-                slo = self.registry.scoped("slo")
-                slo.gauge(
-                    "attainment",
-                    labels=labels,
-                    help_text="lifetime good fraction per objective",
-                ).set(state.attainment())
-                widest = max(
-                    rule.long_windows for rule in self.spec.burn_rules
+                gauges = self._gauges.get(objective.name)
+                if gauges is None:
+                    labels = {
+                        "objective": objective.name,
+                        "qos": objective.qos,
+                    }
+                    gauges = self._gauges[objective.name] = [
+                        self.registry.scoped("slo").gauge(
+                            name, labels=labels, help_text=help_text
+                        )
+                        for name, help_text in SLO_GAUGES
+                    ]
+                values = (
+                    state.attainment(),
+                    state.burn_rate(self._widest, now),
+                    1.0 if any(state.firing.values()) else 0.0,
                 )
-                slo.gauge(
-                    "burn_rate",
-                    labels=labels,
-                    help_text="burn rate over the longest rule window",
-                ).set(state.burn_rate(widest, now))
-                slo.gauge(
-                    "firing",
-                    labels=labels,
-                    help_text="1 while any burn rule is firing",
-                ).set(1.0 if any(state.firing.values()) else 0.0)
+                for gauge, value in zip(gauges, values):
+                    gauge.set(value)
         self.alerts.extend(edges)
         if self.span is not None:
             for edge in edges:

@@ -20,7 +20,7 @@ stream would have produced (``tests/obs/test_window.py`` pins this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, TelemetryError
 from repro.telemetry.registry import (
@@ -97,7 +97,37 @@ class _Window:
         }
 
 
-class WindowedHistogram:
+class _Ring:
+    """Eviction and memoized readings, shared by both instruments.
+
+    A reading is a function of the retained windows and its end index,
+    so it is cached by key for the current end index only, and every
+    mutation drops the cache: a hit is always the value a
+    recomputation would give.
+    """
+
+    _memo_end: Optional[int] = None
+
+    def _end(self, now: Optional[float]) -> int:
+        return self._latest if now is None else self.config.index(now)
+
+    def _evict(self) -> None:
+        """Drop the cache and every window off the trailing edge."""
+        self._memo_end = None
+        floor = self._latest - self.config.windows + 1
+        for stale in [i for i in self._windows if i < floor]:
+            del self._windows[stale]
+
+    def _reading(self, end: int, key, compute: Callable[[], object]):
+        if end != self._memo_end:
+            self._memo_end, self._readings = end, {}
+        value = self._readings.get(key)
+        if value is None:
+            value = self._readings[key] = compute()
+        return value
+
+
+class WindowedHistogram(_Ring):
     """Ring of per-window explicit-bucket histograms over virtual time.
 
     Observations may arrive for any *retained* window (the scheduler
@@ -140,9 +170,7 @@ class WindowedHistogram:
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        self._evict()
 
     def observe(self, value: float, time_s: float) -> None:
         value = float(value)
@@ -151,30 +179,33 @@ class WindowedHistogram:
         if index <= self._latest - self.config.windows:
             self.dropped += 1
             return
+        self._window(index).observe(value, self._bucket(value))
+
+    def _window(self, index: int) -> _Window:
         window = self._windows.get(index)
         if window is None:
-            window = _Window(
+            window = self._windows[index] = _Window(
                 index=index, counts=[0] * (len(self.buckets) + 1)
             )
-            self._windows[index] = window
-        window.observe(value, self._bucket(value))
+        return window
 
     # -- reading --------------------------------------------------------
-
-    @property
-    def latest_index(self) -> int:
-        return self._latest
-
-    def window(self, index: int) -> Optional[Dict[str, object]]:
-        entry = self._windows.get(index)
-        return entry.as_dict() if entry is not None else None
 
     def recent(self, k: int, now: Optional[float] = None) -> Dict[str, object]:
         """The last ``k`` windows (ending at ``now``'s window, or the
         latest observed) merged into one histogram-shaped dict."""
+        merged = self._merged(k, self._end(now))
+        return dict(
+            merged, buckets=list(self.buckets), counts=list(merged["counts"])
+        )
+
+    def _merged(self, k: int, end: int) -> Dict[str, object]:
+        """:meth:`recent`'s memoized reading; callers never mutate it."""
+        return self._reading(end, k, lambda: self._merge_windows(k, end))
+
+    def _merge_windows(self, k: int, end: int) -> Dict[str, object]:
         if k < 1:
             raise ConfigurationError("need at least one window")
-        end = self._latest if now is None else self.config.index(now)
         counts = [0] * (len(self.buckets) + 1)
         total = 0
         total_sum = 0.0
@@ -194,7 +225,7 @@ class WindowedHistogram:
             total += window.count
             total_sum += window.sum
         return {
-            "buckets": list(self.buckets),
+            "buckets": self.buckets,
             "counts": counts,
             "count": total,
             "sum": total_sum,
@@ -206,20 +237,25 @@ class WindowedHistogram:
         self, q: float, windows: int = 1, now: Optional[float] = None
     ) -> float:
         """Bucket-interpolated quantile over the last ``windows``."""
-        merged = self.recent(windows, now=now)
-        return bucket_quantile(
-            self.buckets,
-            merged["counts"],
-            q,
-            count=merged["count"],
-            min_value=merged["min"],
-            max_value=merged["max"],
-        )
+        end = self._end(now)
+
+        def estimate() -> float:
+            merged = self._merged(windows, end)
+            return bucket_quantile(
+                self.buckets,
+                merged["counts"],
+                q,
+                count=merged["count"],
+                min_value=merged["min"],
+                max_value=merged["max"],
+            )
+
+        return self._reading(end, (q, windows), estimate)
 
     def rate(self, windows: int = 1, now: Optional[float] = None) -> float:
         """Observations per virtual second over the last ``windows``."""
-        merged = self.recent(windows, now=now)
-        return merged["count"] / (windows * self.config.width_s)
+        count = self._merged(windows, self._end(now))["count"]
+        return count / (windows * self.config.width_s)
 
     # -- snapshots / merge ---------------------------------------------
 
@@ -259,13 +295,7 @@ class WindowedHistogram:
         self.dropped += int(snapshot.get("dropped", 0))
         self._latest = max(self._latest, int(snapshot.get("latest", -1)))
         for entry in snapshot.get("windows", ()):
-            index = int(entry["index"])
-            window = self._windows.get(index)
-            if window is None:
-                window = _Window(
-                    index=index, counts=[0] * (len(self.buckets) + 1)
-                )
-                self._windows[index] = window
+            window = self._window(int(entry["index"]))
             for i, c in enumerate(entry["counts"]):
                 window.counts[i] += c
             if entry["count"]:
@@ -277,9 +307,7 @@ class WindowedHistogram:
                     window.max = max(window.max, entry["max"])
             window.sum += entry["sum"]
             window.count += entry["count"]
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        self._evict()
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping) -> "WindowedHistogram":
@@ -292,11 +320,12 @@ class WindowedHistogram:
         return instrument
 
 
-class RollingCounter:
+class RollingCounter(_Ring):
     """Per-window event counts: the arrival-rate gauge's backbone.
 
     A degenerate :class:`WindowedHistogram` would do, but a plain
     ``Dict[int, float]`` ring is cheaper on the per-arrival hot path.
+    An event older than the ring counts in :attr:`total` only.
     """
 
     def __init__(
@@ -309,17 +338,21 @@ class RollingCounter:
         self.total: float = 0.0
 
     def inc(self, time_s: float, amount: float = 1.0) -> None:
+        self._memo_end = None
+        self.total += amount
         index = self.config.index(time_s)
         if index > self._latest:
             self._latest = index
-            floor = self._latest - self.config.windows + 1
-            for stale in [i for i in self._windows if i < floor]:
-                del self._windows[stale]
+            self._evict()
+        elif index <= self._latest - self.config.windows:
+            return
         self._windows[index] = self._windows.get(index, 0.0) + amount
-        self.total += amount
 
     def count(self, windows: int = 1, now: Optional[float] = None) -> float:
-        end = self._latest if now is None else self.config.index(now)
+        end = self._end(now)
+        return self._reading(end, windows, lambda: self._sum(windows, end))
+
+    def _sum(self, windows: int, end: int) -> float:
         return sum(
             self._windows.get(index, 0.0)
             for index in range(end - windows + 1, end + 1)
@@ -360,6 +393,4 @@ class RollingCounter:
         for key, value in windows.items():
             index = int(key)
             self._windows[index] = self._windows.get(index, 0.0) + value
-        floor = self._latest - self.config.windows + 1
-        for stale in [i for i in self._windows if i < floor]:
-            del self._windows[stale]
+        self._evict()

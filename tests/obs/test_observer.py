@@ -1,10 +1,23 @@
 """End-to-end observer wiring: bit-identity, rollups, CLI surface."""
 
+import collections
 import json
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.fleet import simulate_fleet
-from repro.obs import SloObjective, SloSpec, WindowConfig
-from repro.serve.arrivals import PoissonProcess
+from repro.obs import (
+    RollingCounter,
+    ServeObserver,
+    SloMonitor,
+    SloObjective,
+    SloSpec,
+    WindowConfig,
+    WindowedHistogram,
+)
+from repro.obs import window as window_module
+from repro.serve.arrivals import PoissonProcess, TraceReplay, generate_requests
 from repro.serve.simulator import simulate_serving
 from repro.telemetry import Telemetry
 
@@ -51,6 +64,79 @@ class TestBitIdentity:
         for kind in ("counters", "gauges", "histograms"):
             for entry in snapshot[kind]:
                 assert not entry["name"].startswith(("obs/", "slo/"))
+
+
+class TestObserverConfig:
+    @pytest.mark.parametrize("recent_windows", [0, -1])
+    def test_rejects_fewer_than_one_recent_window(self, recent_windows):
+        with pytest.raises(ConfigurationError, match="recent_windows"):
+            ServeObserver(recent_windows=recent_windows)
+
+
+class TestBoundaryCost:
+    """Observer work follows what changed, not how many boundaries ran.
+
+    ``simbench``'s ``serve_observed`` stream (400 Poisson requests at
+    0.01 req/s, OPT-175B / NVDRAM / helm, ``slo=True``) crosses ~8.5k
+    scheduler boundaries but only ~1.4k events: arrivals, finishes,
+    sheds and window-index changes.  Work is counted, not timed.
+    """
+
+    def test_window_reads_scale_with_events(self, monkeypatch):
+        work = collections.Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                work[key(*args) if callable(key) else key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(WindowedHistogram, "_merge_windows", "merge")
+        count(window_module, "bucket_quantile", "quantile")
+
+        def by_counter(counter, *_):
+            return "tokens" if counter.name == "tokens" else "counts"
+
+        count(RollingCounter, "_sum", by_counter)
+        count(SloMonitor, "evaluate", "evaluate")
+        ends = []
+        on_boundary = ServeObserver.on_boundary
+
+        def boundary(observer, now):
+            ends.append(observer.window.index(now))
+            on_boundary(observer, now)
+
+        monkeypatch.setattr(ServeObserver, "on_boundary", boundary)
+        specs = generate_requests(
+            PoissonProcess(rate_rps=0.01), 400, seed=0
+        )
+        result = simulate_serving(
+            arrival=TraceReplay(specs),
+            num_requests=len(specs),
+            slo=True,
+            telemetry=Telemetry.create(),
+        )
+        index_changes = 1 + sum(a != b for a, b in zip(ends, ends[1:]))
+        events = (
+            len(specs)
+            + len(result.records)
+            + len(result.shed)
+            + index_changes
+        )
+        # The stream is boundary-heavy, so a per-boundary cost fails.
+        assert len(ends) > 4 * events
+        assert work["evaluate"] <= events
+        # Per publish: one merge per latency histogram (three: the
+        # stream has one QoS class), two quantiles each, and at most a
+        # dozen counter windows (rates plus the burn rules' windows).
+        assert work["merge"] <= 3 * events
+        assert work["quantile"] <= 6 * events
+        assert work["counts"] <= 12 * events
+        # The token rate moves every iteration: one sum per boundary.
+        assert work["tokens"] <= len(ends)
 
 
 class TestSloParamForms:

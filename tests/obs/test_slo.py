@@ -1,6 +1,7 @@
 """SLO specs, burn-rate evaluation, alert edges, and rollups."""
 
 import json
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -269,3 +270,49 @@ class TestMonitorMerge:
         monitor = SloMonitor(ttft_spec())
         monitor.merge({"objectives": {"other": {}}})
         assert monitor.report()["objectives"][0]["good"] == 0
+
+
+class TestGoldenReport:
+    """The ``ablation_obs --quick`` degradation run, pinned exactly.
+
+    ``golden_slo_report.json`` holds the SLO report (alert edges with
+    their times and burn rates) and the final ``obs/`` and ``slo/``
+    gauges, recorded before boundary skipping and memoized window
+    reads existed; both must reproduce it float for float.
+    """
+
+    GOLDEN = os.path.join(os.path.dirname(__file__), "golden_slo_report.json")
+
+    def test_degradation_run_matches_golden(self, monkeypatch):
+        from repro.experiments import ablation_obs
+        from repro.experiments.common import pricing_backend
+        from repro.serve.arrivals import TraceReplay
+        from repro.serve.simulator import simulate_serving
+        from repro.telemetry import Telemetry
+
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        telemetry = Telemetry.create(tool="test")
+        result = simulate_serving(
+            model=ablation_obs.MODEL,
+            host=ablation_obs.HOST,
+            placement=ablation_obs.PLACEMENT,
+            compress_weights=True,
+            arrival=TraceReplay(specs=ablation_obs._specs()),
+            num_requests=0,
+            seed=ablation_obs.SEED,
+            pricing_backend=pricing_backend("analytic"),
+            slo=ablation_obs._spec(),
+            telemetry=telemetry,
+        )
+        gauges = [
+            {key: entry[key] for key in ("name", "labels", "value")}
+            for entry in telemetry.registry.snapshot()["gauges"]
+            if entry["name"].startswith(("obs/", "slo/"))
+        ]
+        actual = json.loads(
+            json.dumps({"report": result.setup["slo"], "gauges": gauges})
+        )
+        with open(self.GOLDEN) as handle:
+            golden = json.load(handle)
+        assert golden["report"]["alerts"]
+        assert actual == golden

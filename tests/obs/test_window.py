@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import RollingCounter, WindowConfig, WindowedHistogram
-from repro.telemetry.registry import Histogram
+from repro.telemetry.registry import Histogram, bucket_quantile
 
 
 class TestHistogramQuantile:
@@ -198,3 +200,94 @@ class TestRollingCounter:
             (a if i % 2 else b).inc(i * 3.0)
         a.merge(b.snapshot())
         assert a.snapshot() == single.snapshot()
+
+    def test_late_event_counts_in_total_only(self):
+        """An event older than the ring is counted but not stored, so
+        a snapshot merged into a fresh counter reproduces it."""
+        config = WindowConfig(width_s=1.0, windows=2)
+        counter = RollingCounter("arrivals", config)
+        counter.inc(10.0)
+        counter.inc(0.5)
+        snapshot = counter.snapshot()
+        assert snapshot["windows"] == {"10": 1.0}
+        assert counter.total == 2.0
+        clone = RollingCounter("arrivals", config)
+        clone.merge(snapshot)
+        assert clone.snapshot() == snapshot
+        assert clone.count(2, now=10.0) == counter.count(2, now=10.0) == 1.0
+
+
+class TestMemoizedReadings:
+    """Memoized readings equal a recomputation, whatever came before.
+
+    Instruments are driven through random interleavings of events (in
+    the ring and older than it), merges and readings at random times;
+    every reading, first a miss and then a hit, must be float-equal to
+    the same reading from a fresh instrument rebuilt from
+    ``snapshot()``.
+    """
+
+    BUCKETS = (1.0, 2.0, 5.0, 10.0)
+    #: 4 windows of 10 s over a 60 s span: a time 40 s back is late.
+    CONFIG = WindowConfig(width_s=10.0, windows=4)
+    TIMES = st.integers(0, 24).map(lambda i: i * 2.5)
+    EVENTS = st.tuples(st.floats(0.0, 20.0), TIMES)
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("event"), EVENTS),
+            st.tuples(st.just("merge"), st.lists(EVENTS, max_size=6)),
+            st.tuples(st.just("read"), st.one_of(st.none(), TIMES)),
+        ),
+        max_size=40,
+    )
+
+    def _instruments(self, events=()):
+        histogram = WindowedHistogram("h", self.CONFIG, self.BUCKETS)
+        counter = RollingCounter("c", self.CONFIG)
+        for value, time_s in events:
+            histogram.observe(value, time_s)
+            counter.inc(time_s, value)
+        return histogram, counter
+
+    def _check(self, histogram, counter, now):
+        fresh = WindowedHistogram.from_snapshot(histogram.snapshot())
+        fresh_counter = RollingCounter("c", self.CONFIG)
+        fresh_counter.merge(counter.snapshot())
+        for _ in range(2):  # misses, then hits
+            for k in (1, 3, 6):
+                merged = fresh.recent(k, now=now)
+                assert histogram.recent(k, now=now) == merged
+                for q in (0.0, 0.5, 0.99, 1.0):
+                    quantile = histogram.quantile(q, windows=k, now=now)
+                    assert quantile == fresh.quantile(q, windows=k, now=now)
+                    assert quantile == bucket_quantile(
+                        self.BUCKETS,
+                        merged["counts"],
+                        q,
+                        count=merged["count"],
+                        min_value=merged["min"],
+                        max_value=merged["max"],
+                    )
+                assert histogram.rate(k, now=now) == fresh.rate(k, now=now)
+                assert counter.count(k, now=now) == fresh_counter.count(
+                    k, now=now
+                )
+                assert counter.rate(k, now=now) == fresh_counter.rate(
+                    k, now=now
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(OPS)
+    def test_fast_path_equals_rebuilt_instrument(self, ops):
+        histogram, counter = self._instruments()
+        for op, arg in ops:
+            if op == "event":
+                value, time_s = arg
+                histogram.observe(value, time_s)
+                counter.inc(time_s, value)
+            elif op == "merge":
+                other, other_counter = self._instruments(arg)
+                histogram.merge(other.snapshot())
+                counter.merge(other_counter.snapshot())
+            else:
+                self._check(histogram, counter, arg)
